@@ -106,7 +106,6 @@ impl Default for AnalyzerConfig {
             lock_files: vec![
                 "crates/runtime/src/scheduler.rs",
                 "crates/runtime/src/cluster.rs",
-                "crates/runtime/src/ingest.rs",
                 "crates/runtime/src/net.rs",
                 "crates/runtime/src/supervisor.rs",
                 "crates/runtime/src/qos.rs",

@@ -1,5 +1,5 @@
-//! Criterion benchmark of the sharded runtime: ingest-fronted cluster vs
-//! single-scheduler baseline on identical synthetic camera streams.
+//! Criterion benchmark of the sharded runtime: cluster vs single-scheduler
+//! baseline on identical synthetic camera streams.
 
 use asv_bench::cluster::cluster_throughput;
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -227,6 +227,88 @@ pub mod alloc_count {
     pub fn allocated_bytes() -> u64 {
         BYTES.load(Ordering::Relaxed)
     }
+
+    /// One named allocation proof run by [`run_proofs`].
+    pub type Proof = (&'static str, fn());
+
+    /// The `main` of a `harness = false` test target holding zero-allocation
+    /// proofs.
+    ///
+    /// The counters are process-wide, so a proof is only sound while
+    /// nothing else in the process allocates: libtest runs tests on
+    /// concurrent threads (and allocates on its own), which would add their
+    /// heap traffic to every measured region.  This runner executes the
+    /// proofs one after another on the calling thread instead, with no other
+    /// thread alive but the ones the proofs start themselves.  It first runs
+    /// a positive control — deliberate allocations on the measuring thread
+    /// and on another thread must both be counted — so a proof can never
+    /// pass because counting is not installed.
+    ///
+    /// Prints libtest-style lines, honours `--list`, and fails the process
+    /// if any proof panics.  Other libtest arguments (filters included) are
+    /// ignored: every proof runs.
+    pub fn run_proofs(proofs: &[Proof]) -> std::process::ExitCode {
+        let all = std::iter::once(&CONTROL).chain(proofs);
+        if std::env::args().any(|arg| arg == "--list") {
+            for (name, _) in all {
+                println!("{name}: test");
+            }
+            return std::process::ExitCode::SUCCESS;
+        }
+        println!("\nrunning {} tests", proofs.len() + 1);
+        let mut failed = 0;
+        for (name, proof) in all {
+            let ok = std::panic::catch_unwind(*proof).is_ok();
+            println!("test {name} ... {}", if ok { "ok" } else { "FAILED" });
+            failed += usize::from(!ok);
+        }
+        println!(
+            "\ntest result: {}. {} passed; {failed} failed",
+            if failed == 0 { "ok" } else { "FAILED" },
+            proofs.len() + 1 - failed,
+        );
+        if failed == 0 {
+            std::process::ExitCode::SUCCESS
+        } else {
+            std::process::ExitCode::FAILURE
+        }
+    }
+
+    const CONTROL: Proof = (
+        "measured_region_counts_deliberate_allocations",
+        measured_region_counts_deliberate_allocations,
+    );
+
+    /// The positive control of [`run_proofs`].  The second allocation
+    /// happens on a thread started before the region opens, so it proves
+    /// that work handed to other threads (worker pools) is counted too.
+    fn measured_region_counts_deliberate_allocations() {
+        let before = allocations();
+        std::hint::black_box(Vec::<u8>::with_capacity(64));
+        let allocs = allocations() - before;
+        assert!(
+            allocs >= 1,
+            "an allocation on the measuring thread counted {allocs}"
+        );
+
+        let start = std::sync::Barrier::new(2);
+        let done = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                std::hint::black_box(Vec::<u8>::with_capacity(64));
+                done.wait();
+            });
+            let before = allocations();
+            start.wait();
+            done.wait();
+            let allocs = allocations() - before;
+            assert!(
+                allocs >= 1,
+                "an allocation on another thread counted {allocs}"
+            );
+        });
+    }
 }
 
 #[cfg(test)]

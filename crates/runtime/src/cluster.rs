@@ -17,10 +17,11 @@
 //! Sessions are placed by consistent hashing of their routing key over a
 //! ring of virtual nodes ([`ClusterConfig::replicas`] per shard), so the
 //! same key always lands on the same shard and adding shards moves only
-//! `~1/N` of the keys.  Two escape hatches exist ([`Placement`]): an
-//! explicit pinned shard, and a least-loaded fallback that placement
-//! automatically takes when the hashed shard is saturated (every inbox
-//! full).
+//! `~1/N` of the keys.  [`Cluster::add_session`] is the one way in, and
+//! follows one rule: walk the ring past failed shards to the key's first
+//! surviving shard, and if that shard is saturated (every inbox full) take
+//! the least-loaded surviving shard instead.  Only when every shard has
+//! failed does placement fail, with [`AsvError::ShardDown`].
 //!
 //! # Determinism
 //!
@@ -32,13 +33,11 @@
 
 use crate::export::render_prometheus;
 use crate::net::TransportCounters;
-use crate::qos::QosConfig;
 use crate::scheduler::{
     RuntimeReport, Scheduler, SchedulerConfig, SchedulerObserver, SessionHandle,
 };
-use crate::session::SessionReport;
+use crate::session::{SessionReport, SessionSpec};
 use crate::telemetry::AggregateTelemetry;
-use asv::ism::IsmState;
 use asv::trace::chrome::ChromeTrace;
 use asv::AsvError;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -85,19 +84,6 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         Self::new(2)
     }
-}
-
-/// How [`Cluster::add_session_with`] chooses a shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// Consistent hash of the routing key, falling back to the least-loaded
-    /// shard when the hashed shard is saturated.  The default.
-    Hashed,
-    /// Pin the session to a specific shard index (explicit override).
-    Pinned(usize),
-    /// Ignore the key and place on the shard with the lowest instantaneous
-    /// load.
-    LeastLoaded,
 }
 
 /// 64-bit FNV-1a with a splitmix64 finalizer — deterministic across runs
@@ -161,8 +147,7 @@ impl ClusterSessionHandle {
         &self.key
     }
 
-    /// The underlying per-shard session handle (e.g. to hand to the ingest
-    /// layer).
+    /// The underlying per-shard session handle.
     pub fn handle(&self) -> &SessionHandle {
         &self.handle
     }
@@ -246,23 +231,19 @@ impl Cluster {
         self.shards.len()
     }
 
-    /// The shard the consistent-hash ring assigns to `key` (before any
-    /// saturation fallback).
-    pub fn shard_for_key(&self, key: &str) -> usize {
+    /// The shards of the consistent-hash ring's virtual nodes clockwise
+    /// from `key`'s hash, wrapping once around the ring.
+    fn ring_walk(&self, key: &str) -> impl Iterator<Item = usize> + '_ {
         let hash = fnv1a(key.as_bytes());
-        // First virtual node clockwise from the key's hash, wrapping.
-        let at = self.ring.partition_point(|&(h, _)| h < hash);
-        self.ring[at % self.ring.len()].1
+        let start = self.ring.partition_point(|&(h, _)| h < hash);
+        (0..self.ring.len()).map(move |k| self.ring[(start + k) % self.ring.len()].1)
     }
 
-    /// The shard with the lowest instantaneous load (ties go to the lowest
-    /// index).
-    pub fn least_loaded_shard(&self) -> usize {
-        self.shards
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, s)| s.load())
-            .map(|(i, _)| i)
+    /// The shard the consistent-hash ring assigns to `key` (before any
+    /// failure or saturation fallback).
+    pub fn shard_for_key(&self, key: &str) -> usize {
+        self.ring_walk(key)
+            .next()
             .expect("cluster has at least one shard")
     }
 
@@ -286,63 +267,49 @@ impl Cluster {
         self.shards.iter().filter(|s| !s.is_failed()).count()
     }
 
-    /// The shard with the lowest instantaneous load among surviving shards.
+    /// Where a new session for `key` lives: the first surviving shard on
+    /// the ring walk from the key's hash (stable while that shard lives,
+    /// deterministic when it dies), or the least-loaded surviving shard
+    /// when that one is saturated (every inbox full; ties go to the lowest
+    /// index).
     ///
     /// # Errors
     ///
     /// [`AsvError::ShardDown`] when every shard has failed.
-    pub fn least_loaded_live_shard(&self) -> Result<usize, AsvError> {
-        self.shards
+    fn place(&self, key: &str) -> Result<usize, AsvError> {
+        let hashed = self
+            .ring_walk(key)
+            .find(|&shard| !self.shards[shard].is_failed())
+            .ok_or_else(|| AsvError::shard_down("every shard in the cluster has failed"))?;
+        if !self.shards[hashed].is_saturated() {
+            return Ok(hashed);
+        }
+        Ok(self
+            .shards
             .iter()
             .enumerate()
             .filter(|(_, s)| !s.is_failed())
             .min_by_key(|(_, s)| s.load())
-            .map(|(i, _)| i)
-            .ok_or_else(|| AsvError::shard_down("every shard in the cluster has failed"))
+            .map_or(hashed, |(i, _)| i))
     }
 
-    /// Failure-aware consistent hashing: walks the ring clockwise from the
-    /// key's hash and returns the first virtual node on a surviving shard,
-    /// so a key's placement is stable while its shard lives and moves
-    /// deterministically when it dies.
+    /// Places a new session for routing key `key` (see the module docs)
+    /// and registers it there, labeled with the key.  The [`Supervisor`]
+    /// uses the same call both for first placement and for re-placing a
+    /// session whose shard died.
+    ///
+    /// [`Supervisor`]: crate::Supervisor
     ///
     /// # Errors
     ///
     /// [`AsvError::ShardDown`] when every shard has failed.
-    pub fn live_shard_for_key(&self, key: &str) -> Result<usize, AsvError> {
-        let hash = fnv1a(key.as_bytes());
-        let start = self.ring.partition_point(|&(h, _)| h < hash);
-        for k in 0..self.ring.len() {
-            let shard = self.ring[(start + k) % self.ring.len()].1;
-            if !self.shards[shard].is_failed() {
-                return Ok(shard);
-            }
-        }
-        Err(AsvError::shard_down(
-            "every shard in the cluster has failed",
-        ))
-    }
-
-    /// Places a new session on a *surviving* shard: failure-aware
-    /// consistent hashing with the least-loaded-live fallback under
-    /// saturation.  This is the re-placement path a supervisor takes when a
-    /// session's shard dies.
-    ///
-    /// # Errors
-    ///
-    /// [`AsvError::ShardDown`] when every shard has failed.
-    pub fn add_session_live(
+    pub fn add_session(
         &self,
         key: &str,
-        state: IsmState,
+        spec: impl Into<SessionSpec>,
     ) -> Result<ClusterSessionHandle, AsvError> {
-        let hashed = self.live_shard_for_key(key)?;
-        let shard = if self.shards[hashed].is_saturated() {
-            self.least_loaded_live_shard()?
-        } else {
-            hashed
-        };
-        let handle = self.shards[shard].add_session_labeled(state, Some(key.to_owned())); // lint: alloc-ok(session placement, once per stream)
+        let shard = self.place(key)?;
+        let handle = self.shards[shard].add_session(spec.into().with_label(key)); // lint: alloc-ok(session placement, once per stream)
         Ok(ClusterSessionHandle {
             shard,
             key: key.to_owned(), // lint: alloc-ok(session placement, once per stream)
@@ -377,94 +344,6 @@ impl Cluster {
     /// Whether [`Cluster::begin_drain`] (or `join`) has run.
     pub fn is_draining(&self) -> bool {
         self.draining.load(Ordering::Acquire)
-    }
-
-    /// Places a new session by consistent hashing of `key` (with the
-    /// least-loaded fallback when the hashed shard is saturated) and
-    /// registers it there.
-    pub fn add_session(&self, key: &str, state: IsmState) -> ClusterSessionHandle {
-        self.add_session_with(Placement::Hashed, key, state)
-            .expect("hashed placement cannot fail")
-    }
-
-    /// [`Cluster::add_session`] with a per-session key-frame cost metric:
-    /// the [`asv::CostMetric`] override takes effect from the stream's first
-    /// key frame, so differently-configured streams can share one cluster.
-    pub fn add_session_with_metric(
-        &self,
-        key: &str,
-        mut state: IsmState,
-        metric: asv::CostMetric,
-    ) -> ClusterSessionHandle {
-        state.set_cost_metric(metric);
-        self.add_session(key, state)
-    }
-
-    /// [`Cluster::add_session`] under an SLO: the session's shard attaches a
-    /// QoS controller that degrades the stream's ISM knobs when the SLO is
-    /// violated and recovers with hysteresis (see
-    /// [`Scheduler::add_session_qos`]).  The session's current degradation
-    /// level is exported per shard as `asv_qos_level{shard,session}`.
-    pub fn add_session_qos(
-        &self,
-        key: &str,
-        state: IsmState,
-        qos: QosConfig,
-    ) -> ClusterSessionHandle {
-        let shard = {
-            let hashed = self.shard_for_key(key);
-            if self.shards[hashed].is_saturated() {
-                self.least_loaded_shard()
-            } else {
-                hashed
-            }
-        };
-        let handle = self.shards[shard].add_session_qos(state, Some(key.to_owned()), qos);
-        ClusterSessionHandle {
-            shard,
-            key: key.to_owned(),
-            handle,
-        }
-    }
-
-    /// Places a new session with an explicit [`Placement`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AsvError::Config`] when `Placement::Pinned` names a shard
-    /// index out of range.
-    pub fn add_session_with(
-        &self,
-        placement: Placement,
-        key: &str,
-        state: IsmState,
-    ) -> Result<ClusterSessionHandle, AsvError> {
-        let shard = match placement {
-            Placement::Pinned(shard) => {
-                if shard >= self.shards.len() {
-                    return Err(AsvError::config(format!(
-                        "pinned shard {shard} out of range (cluster has {} shards)",
-                        self.shards.len()
-                    )));
-                }
-                shard
-            }
-            Placement::LeastLoaded => self.least_loaded_shard(),
-            Placement::Hashed => {
-                let hashed = self.shard_for_key(key);
-                if self.shards[hashed].is_saturated() {
-                    self.least_loaded_shard()
-                } else {
-                    hashed
-                }
-            }
-        };
-        let handle = self.shards[shard].add_session_labeled(state, Some(key.to_owned()));
-        Ok(ClusterSessionHandle {
-            shard,
-            key: key.to_owned(),
-            handle,
-        })
     }
 
     /// Live per-shard telemetry snapshots (the scrape path), including the

@@ -19,11 +19,8 @@
 //! * [`serve_sequences`] — drive whole [`asv_scene::StereoSequence`]s as
 //!   simulated live feeds (one feeder thread per stream);
 //! * [`cluster`] — the scale-out layer: a [`Cluster`] of `N` independent
-//!   scheduler shards with consistent-hash session placement (pinned
-//!   override and least-loaded fallback);
-//! * [`ingest`] — the async ingestion front-end: a bounded submission queue
-//!   with per-session quotas and a configurable [`ShedPolicy`]
-//!   (block / reject / drop-oldest) so a hot session cannot starve intake;
+//!   scheduler shards with consistent-hash session placement (least-loaded
+//!   fallback when the hashed shard is saturated, failed shards skipped);
 //! * [`export`] — [`render_prometheus`]: the telemetry in Prometheus text
 //!   format, ready to serve from a `/metrics` endpoint;
 //! * [`sim`] — the deterministic simulation harness proving that an
@@ -73,7 +70,6 @@
 pub mod cluster;
 pub mod export;
 pub mod http;
-pub mod ingest;
 pub mod knobs;
 pub mod net;
 pub mod qos;
@@ -88,12 +84,9 @@ pub mod wire;
 
 pub use asv::trace::Stage;
 pub use asv::CostMetric;
-pub use cluster::{
-    Cluster, ClusterConfig, ClusterObserver, ClusterReport, ClusterSessionHandle, Placement,
-};
+pub use cluster::{Cluster, ClusterConfig, ClusterObserver, ClusterReport, ClusterSessionHandle};
 pub use export::{parse_scrape, render_prometheus, ScrapeSample};
 pub use http::{HttpMetricsSource, MetricsServer};
-pub use ingest::{Ingest, IngestConfig, IngestStats, RouteHandle, RouteStats};
 pub use net::{
     Admit, ClientConfig, FrameClient, FrameServer, FrameSink, NetConfig, SequenceGate,
     TransportCounters, TransportErrorKind,
@@ -106,7 +99,7 @@ pub use scheduler::{
     RuntimeReport, Scheduler, SchedulerConfig, SchedulerObserver, SessionHandle, ShedPolicy,
 };
 pub use serve::{serve_sequences, ServeOutcome};
-pub use session::{SessionId, SessionReport, StreamSession};
+pub use session::{SessionId, SessionReport, SessionSpec, StreamSession};
 pub use sim::{
     run_chaos_transport_sim, run_failover_sim, run_overload_sim, ChaosConfig, ChaosReport,
     CostModel, FailoverConfig, FailoverReport, OverloadConfig, OverloadReport,

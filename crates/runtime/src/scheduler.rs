@@ -45,9 +45,9 @@
 //! later submits to that session return the error.  Other sessions are
 //! unaffected.
 
-use crate::qos::{qos_enabled_from_env, QosConfig, QosController};
+use crate::qos::{qos_enabled_from_env, QosController};
 use crate::queue::QueuedFrame;
-use crate::session::{SessionId, SessionReport, StreamSession};
+use crate::session::{SessionId, SessionReport, SessionSpec, StreamSession};
 use crate::telemetry::AggregateTelemetry;
 use asv::ism::{IsmResult, IsmState};
 use asv::trace::chrome::ChromeTrace;
@@ -329,59 +329,28 @@ impl Scheduler {
         }
     }
 
-    /// Registers a new stream around a fresh ISM state (one per camera) and
-    /// returns its producer handle.  Sessions may be added while the engine
-    /// is serving.
-    pub fn add_session(&self, state: IsmState) -> SessionHandle {
-        self.add_session_labeled(state, None)
-    }
-
-    /// Registers a new stream with a per-session key-frame cost metric (the
-    /// [`asv::CostMetric`] override takes effect from the stream's first key
-    /// frame), leaving other streams on their own metrics.
-    pub fn add_session_with_metric(
-        &self,
-        mut state: IsmState,
-        metric: asv::CostMetric,
-    ) -> SessionHandle {
-        state.set_cost_metric(metric);
-        self.add_session(state)
-    }
-
-    /// Registers a new stream carrying a human-readable label (e.g. the
-    /// cluster routing key) that shows up in the session's final report.
-    pub fn add_session_labeled(&self, state: IsmState, label: Option<String>) -> SessionHandle {
-        self.register(state, label, None)
-    }
-
-    /// Registers a new stream under an SLO: the session gets a
-    /// [`crate::qos::QosController`] that watches its end-to-end step
-    /// latency and actuates the stream's ISM knobs (cost metric,
-    /// propagation window, adaptive-motion threshold) when the SLO is
-    /// violated, recovering with hysteresis when load drops.  The session's
-    /// current knobs are snapshotted as the full-quality baseline.
+    /// Registers a new stream (one per camera) and returns its producer
+    /// handle.  Sessions may be added while the engine is serving.
     ///
-    /// `ASV_QOS=off` disables the controller process-wide: the session is
-    /// registered normally and never degrades.
-    pub fn add_session_qos(
-        &self,
-        state: IsmState,
-        label: Option<String>,
-        qos: QosConfig,
-    ) -> SessionHandle {
-        let controller = qos_enabled_from_env().then(|| QosController::for_state(qos, &state));
-        self.register(state, label, controller)
-    }
-
-    fn register(
-        &self,
-        state: IsmState,
-        label: Option<String>,
-        qos: Option<QosController>,
-    ) -> SessionHandle {
+    /// A bare [`IsmState`] converts into a plain [`SessionSpec`]; a spec
+    /// may also carry a label (e.g. the cluster routing key), which shows up
+    /// in the session's final report and per-session exports, and a
+    /// [`crate::QosConfig`], which attaches a [`QosController`] that watches the
+    /// session's end-to-end step latency and actuates its ISM knobs (cost
+    /// metric, propagation window, adaptive-motion threshold) when the SLO
+    /// is violated, recovering with hysteresis when load drops.  The
+    /// state's current knobs are the full-quality baseline.  `ASV_QOS=off`
+    /// disables the controller process-wide: the session is registered
+    /// normally and never degrades.
+    pub fn add_session(&self, spec: impl Into<SessionSpec>) -> SessionHandle {
+        let SessionSpec { state, label, qos } = spec.into();
+        let controller = qos
+            .filter(|_| qos_enabled_from_env())
+            .map(|qos| QosController::for_state(qos, &state));
         let mut engine = self.shared.lock();
         let id = SessionId(engine.sessions.len());
-        let mut session = StreamSession::new(id, state, self.inbox_capacity, label).with_qos(qos);
+        let mut session =
+            StreamSession::new(id, state, self.inbox_capacity, label).with_qos(controller);
         if let Some(context) = &engine.failed {
             // Registering on a failed shard yields a dead-on-arrival session
             // whose first submit reports the failure instead of queueing.

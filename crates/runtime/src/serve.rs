@@ -2,6 +2,7 @@
 //! engine as if they were live camera feeds.
 
 use crate::scheduler::{Scheduler, SchedulerConfig};
+use crate::session::SessionSpec;
 use crate::telemetry::{AggregateTelemetry, SessionTelemetry};
 use asv::ism::{IsmPipeline, IsmResult};
 use asv::AsvError;
@@ -35,7 +36,10 @@ pub fn serve_sequences(
     let handles: Vec<_> = sequences
         .iter()
         .enumerate()
-        .map(|(i, _)| scheduler.add_session_labeled(pipeline.state(), Some(format!("stream-{i}"))))
+        .map(|(i, _)| {
+            scheduler
+                .add_session(SessionSpec::new(pipeline.state()).with_label(format!("stream-{i}")))
+        })
         .collect();
     std::thread::scope(|scope| {
         for (sequence, handle) in sequences.iter().zip(&handles) {

@@ -1,7 +1,7 @@
 //! Stream sessions: one camera stream = one incremental ISM state plus its
 //! inbox, accumulated results and telemetry.
 
-use crate::qos::QosController;
+use crate::qos::{QosConfig, QosController};
 use crate::queue::Inbox;
 use crate::telemetry::SessionTelemetry;
 use asv::ism::{FrameResult, IsmResult, IsmState};
@@ -23,6 +23,50 @@ impl SessionId {
 impl std::fmt::Display for SessionId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "session-{}", self.0)
+    }
+}
+
+/// How to register one stream with [`crate::Scheduler::add_session`] or
+/// [`crate::Cluster::add_session`]: the fresh ISM state plus an optional
+/// label and an optional QoS controller configuration.  A bare
+/// [`IsmState`] converts into a spec with neither.
+#[derive(Debug)]
+pub struct SessionSpec {
+    pub(crate) state: IsmState,
+    pub(crate) label: Option<String>,
+    pub(crate) qos: Option<QosConfig>,
+}
+
+impl SessionSpec {
+    /// A spec for a stream starting from `state`, unlabeled and without an
+    /// SLO.
+    pub fn new(state: IsmState) -> Self {
+        Self {
+            state,
+            label: None,
+            qos: None,
+        }
+    }
+
+    /// Returns the spec with a human-readable label, carried into the
+    /// session's report and per-session exports.  The cluster overrides it
+    /// with the routing key.
+    pub fn with_label(mut self, label: impl Into<String>) -> Self {
+        self.label = Some(label.into());
+        self
+    }
+
+    /// Returns the spec with an SLO-driven QoS controller (see
+    /// [`crate::Scheduler::add_session`]).
+    pub fn with_qos(mut self, qos: QosConfig) -> Self {
+        self.qos = Some(qos);
+        self
+    }
+}
+
+impl From<IsmState> for SessionSpec {
+    fn from(state: IsmState) -> Self {
+        Self::new(state)
     }
 }
 

@@ -13,8 +13,8 @@
 //!   [`VirtualClock`] for building *exactly* reproducible latency telemetry
 //!   where wall time would be noise (the Prometheus golden test);
 //! * [`run_cluster_sim`] — the proof harness: for each requested shard
-//!   count it routes the workload through the full stack
-//!   (ingest front-end → cluster → shard schedulers) and compares every
+//!   count it routes the workload through the full stack (one feeder
+//!   thread per session → cluster → shard schedulers) and compares every
 //!   session's results byte-for-byte against batch
 //!   [`IsmPipeline::process_sequence`] and against a single
 //!   [`crate::Scheduler`].
@@ -23,7 +23,6 @@
 //! `crates/runtime/tests/cluster.rs`.
 
 use crate::cluster::{Cluster, ClusterConfig};
-use crate::ingest::{Ingest, IngestConfig};
 use crate::net::{Admit, FrameSink, SequenceGate, TransportCounters, TransportErrorKind};
 use crate::qos::{QosAction, QosConfig, QosController, QosKnobs, SessionSlo};
 use crate::scheduler::{SchedulerConfig, ShedPolicy};
@@ -218,9 +217,9 @@ fn compare_frames(
 
 /// Runs the determinism experiment: the seeded workload is processed (a) by
 /// batch [`IsmPipeline::process_sequence`], (b) by a single
-/// [`crate::Scheduler`], and (c) by an [`Ingest`]-fronted [`Cluster`] at
-/// every shard count in `shard_counts`, with seeded submit jitter
-/// perturbing the interleavings.  Every per-session result is compared
+/// [`crate::Scheduler`], and (c) by a [`Cluster`] fed by one feeder thread
+/// per session at every shard count in `shard_counts`, with seeded submit
+/// jitter perturbing the interleavings.  Every per-session result is compared
 /// byte-for-byte against the batch baseline.
 ///
 /// # Errors
@@ -262,20 +261,12 @@ pub fn run_cluster_sim(
 
     // (c) The full stack at every requested shard count.
     for &shards in shard_counts {
+        // Lossless backpressure (`Block`, in `shard_config`): determinism
+        // requires that no frame is shed.
         let cluster = Cluster::new(ClusterConfig::new(shards).with_shard_config(shard_config));
-        // Lossless admission control: determinism requires `Block`.
-        let ingest = Ingest::new(
-            IngestConfig::default()
-                .with_policy(ShedPolicy::Block)
-                .with_queue_capacity((config.sessions * config.inbox_capacity).max(2))
-                .with_session_quota(config.inbox_capacity.max(1)),
-        );
-        let routes: Vec<_> = (0..config.sessions)
-            .map(|i| {
-                let placed = cluster.add_session(&session_key(i), pipeline.state());
-                (ingest.register(placed.handle().clone()), placed)
-            })
-            .collect();
+        let sessions: Vec<_> = (0..config.sessions)
+            .map(|i| cluster.add_session(&session_key(i), pipeline.state()))
+            .collect::<Result<_, _>>()?;
 
         // Seeded jitter, distinct per shard count so each run explores a
         // different (but reproducible) interleaving.
@@ -296,8 +287,7 @@ pub fn run_cluster_sim(
 
         let feed_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
-            for (i, ((route, _), stream)) in routes.iter().zip(&streams).enumerate() {
-                let route = route.clone();
+            for (i, (session, stream)) in sessions.iter().zip(&streams).enumerate() {
                 let delays = &jitter[i];
                 let feed_errors = &feed_errors;
                 scope.spawn(move || {
@@ -305,7 +295,7 @@ pub fn run_cluster_sim(
                         if delays[f] > 0 {
                             std::thread::sleep(Duration::from_micros(delays[f]));
                         }
-                        if let Err(e) = route.submit(frame.left.clone(), frame.right.clone()) {
+                        if let Err(e) = session.submit(frame.left.clone(), frame.right.clone()) {
                             feed_errors
                                 .lock()
                                 .expect("sim feed-error lock poisoned")
@@ -316,8 +306,7 @@ pub fn run_cluster_sim(
                 });
             }
         });
-        // Drain the front-end into the shards, then the shards themselves.
-        ingest.join();
+        drop(sessions);
         let report = cluster.join();
         mismatches.extend(
             feed_errors

@@ -6,9 +6,7 @@ use asv::ism::{IsmConfig, IsmPipeline};
 use asv_dnn::{zoo, SurrogateParams, SurrogateStereoDnn};
 use asv_image::Image;
 use asv_runtime::sim::{run_cluster_sim, session_key, SimConfig};
-use asv_runtime::{
-    Cluster, ClusterConfig, Ingest, IngestConfig, Placement, SchedulerConfig, ShedPolicy,
-};
+use asv_runtime::{Cluster, ClusterConfig, SchedulerConfig};
 use asv_stereo::block_matching::BlockMatchParams;
 
 fn pipeline(width: usize, height: usize, window: usize) -> IsmPipeline {
@@ -33,7 +31,7 @@ fn pipeline(width: usize, height: usize, window: usize) -> IsmPipeline {
 }
 
 /// The acceptance-criterion proof: for a seeded workload, a cluster of 1, 2
-/// and 4 shards (fronted by the async ingest layer) produces per-session
+/// and 4 shards (one feeder thread per session) produces per-session
 /// disparity results byte-identical to a single scheduler and to batch
 /// `process_sequence`.
 #[test]
@@ -71,28 +69,6 @@ fn determinism_holds_under_a_second_seed_and_heavier_jitter() {
 }
 
 #[test]
-fn pinned_placement_is_honored_and_bounds_checked() {
-    let pipe = pipeline(32, 24, 2);
-    let cluster = Cluster::new(
-        ClusterConfig::new(3).with_shard_config(SchedulerConfig::per_core().with_workers(0)),
-    );
-    for shard in 0..3 {
-        let placed = cluster
-            .add_session_with(Placement::Pinned(shard), "pinned", pipe.state())
-            .expect("in range");
-        assert_eq!(placed.shard(), shard);
-        assert_eq!(placed.key(), "pinned");
-    }
-    let err = cluster
-        .add_session_with(Placement::Pinned(3), "oob", pipe.state())
-        .unwrap_err();
-    assert!(
-        matches!(err, asv::AsvError::Config { .. }),
-        "out-of-range pin must be a config error: {err:?}"
-    );
-}
-
-#[test]
 fn saturated_shard_falls_back_to_least_loaded() {
     let pipe = pipeline(32, 24, 2);
     // Zero-worker shards with one-frame inboxes: saturation is under test
@@ -106,25 +82,53 @@ fn saturated_shard_falls_back_to_least_loaded() {
     );
     let key = "hot-camera";
     let hashed = cluster.shard_for_key(key);
-    let first = cluster.add_session(key, pipe.state());
+    let first = cluster.add_session(key, pipe.state()).unwrap();
     assert_eq!(first.shard(), hashed, "unsaturated: hashed placement wins");
     // Fill the hashed shard's only session's only inbox slot.
     first
         .submit(Image::zeros(32, 24), Image::zeros(32, 24))
         .unwrap();
 
-    let second = cluster.add_session(key, pipe.state());
+    let second = cluster.add_session(key, pipe.state()).unwrap();
     assert_eq!(
         second.shard(),
         1 - hashed,
         "saturated hashed shard must fall back to the least-loaded shard"
     );
-    // Explicit least-loaded placement also avoids the saturated shard.
-    let third = cluster
-        .add_session_with(Placement::LeastLoaded, "third", pipe.state())
-        .unwrap();
+    // Any other key avoids the saturated shard too: it either hashes to
+    // the other shard or falls back to it.
+    let third = cluster.add_session("third", pipe.state()).unwrap();
     assert_eq!(third.shard(), 1 - hashed);
-    assert_eq!(cluster.least_loaded_shard(), 1 - hashed);
+}
+
+/// Placement skips failed shards: a key whose hashed shard was tripped
+/// lands on a survivor (not in a dead-on-arrival session), and with every
+/// shard tripped placement fails with `ShardDown`.
+#[test]
+fn placement_skips_failed_shards_and_fails_only_when_all_are_down() {
+    let pipe = pipeline(32, 24, 2);
+    let cluster = Cluster::new(
+        ClusterConfig::new(3).with_shard_config(SchedulerConfig::per_core().with_workers(0)),
+    );
+    let key = "camera-after-kill";
+    let hashed = cluster.shard_for_key(key);
+    cluster.trip_shard(hashed, "test kill");
+    let placed = cluster.add_session(key, pipe.state()).unwrap();
+    assert_ne!(placed.shard(), hashed, "a tripped shard must be skipped");
+    assert!(!cluster.shard_is_failed(placed.shard()));
+    assert_eq!(placed.key(), key);
+    placed
+        .submit(Image::zeros(32, 24), Image::zeros(32, 24))
+        .expect("the re-placed session is alive");
+
+    for shard in 0..cluster.shard_count() {
+        cluster.trip_shard(shard, "test kill");
+    }
+    let err = cluster.add_session(key, pipe.state()).unwrap_err();
+    assert!(
+        matches!(err, asv::AsvError::ShardDown { .. }),
+        "placement with every shard down must be ShardDown: {err:?}"
+    );
 }
 
 #[test]
@@ -135,39 +139,25 @@ fn cluster_report_merges_cross_shard_telemetry() {
         .with_workers(2)
         .with_inbox_capacity(2);
     let cluster = Cluster::new(ClusterConfig::new(2).with_shard_config(shard_config));
-    let ingest = Ingest::new(IngestConfig::default().with_policy(ShedPolicy::Block));
     let streams = asv_runtime::sim::generate_streams(&sim);
-    let routes: Vec<_> = (0..sim.sessions)
-        .map(|i| {
-            ingest.register(
-                cluster
-                    .add_session(&session_key(i), pipe.state())
-                    .handle()
-                    .clone(),
-            )
-        })
+    let sessions: Vec<_> = (0..sim.sessions)
+        .map(|i| cluster.add_session(&session_key(i), pipe.state()).unwrap())
         .collect();
     std::thread::scope(|scope| {
-        for (route, stream) in routes.iter().zip(&streams) {
-            let route = route.clone();
+        for (session, stream) in sessions.iter().zip(&streams) {
             scope.spawn(move || {
                 for frame in stream.frames() {
-                    route
+                    session
                         .submit(frame.left.clone(), frame.right.clone())
                         .unwrap();
                 }
             });
         }
     });
-    let stats = ingest.join();
-    assert_eq!(
-        stats.accepted(),
-        (sim.sessions * sim.frames_per_session) as u64
-    );
-    assert_eq!(stats.forwarded(), stats.accepted());
-    assert_eq!(stats.shed(), 0);
+    drop(sessions);
 
     let report = cluster.join();
+    assert_eq!(report.aggregate.frames_shed, 0);
     assert_eq!(report.shards.len(), 2);
     assert_eq!(report.aggregate.sessions, sim.sessions);
     assert_eq!(
@@ -212,7 +202,7 @@ fn live_telemetry_snapshot_does_not_disturb_serving() {
                 .with_inbox_capacity(2),
         ),
     );
-    let session = cluster.add_session("probe", pipe.state());
+    let session = cluster.add_session("probe", pipe.state()).unwrap();
     let stream = asv_runtime::sim::generate_streams(&sim);
     for frame in stream[0].frames() {
         session

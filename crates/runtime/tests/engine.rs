@@ -277,7 +277,9 @@ fn per_session_metric_override_matches_a_census_batch_pipeline() {
     let stream = sequence(77, 5);
 
     let scheduler = Scheduler::new(SchedulerConfig::per_core().with_workers(2));
-    let census_session = scheduler.add_session_with_metric(sad.state(), CostMetric::Census);
+    let mut census_state = sad.state();
+    census_state.set_cost_metric(CostMetric::Census);
+    let census_session = scheduler.add_session(census_state);
     let sad_session = scheduler.add_session(sad.state());
     for frame in stream.frames() {
         census_session

@@ -1,5 +1,5 @@
-//! Error-path coverage for `SessionHandle` and the ingest front-end,
-//! asserting the *specific* `AsvError` variant on every path.
+//! Error-path coverage for `SessionHandle`, asserting the *specific*
+//! `AsvError` variant on every path.
 //!
 //! All admission-control tests run on zero-worker (manual-mode) schedulers:
 //! nothing drains, so inbox occupancy — and therefore which path `submit`
@@ -9,7 +9,7 @@ use asv::ism::{IsmConfig, IsmPipeline, IsmState};
 use asv::AsvError;
 use asv_dnn::{zoo, SurrogateParams, SurrogateStereoDnn};
 use asv_image::Image;
-use asv_runtime::{Ingest, IngestConfig, Scheduler, SchedulerConfig, ShedPolicy};
+use asv_runtime::{Scheduler, SchedulerConfig, ShedPolicy};
 use asv_stereo::block_matching::BlockMatchParams;
 
 const WIDTH: usize = 32;
@@ -163,75 +163,6 @@ fn submit_to_a_poisoned_session_returns_the_stored_error() {
 }
 
 #[test]
-fn ingest_rejects_over_quota_and_reports_downstream_shutdown() {
-    // Downstream: a one-slot manual-mode inbox under Block policy, so the
-    // forwarder parks on the second frame and the submission queue backs up
-    // deterministically.
-    let scheduler = manual_scheduler(1, ShedPolicy::Block);
-    let sink = scheduler.add_session(state());
-    let ingest = Ingest::new(
-        IngestConfig::default()
-            .with_forwarders(1)
-            .with_queue_capacity(8)
-            .with_session_quota(2)
-            .with_policy(ShedPolicy::Reject),
-    );
-    let route = ingest.register(sink);
-
-    // Frame 1 lands in the sink inbox; frame 2 blocks the forwarder.
-    for _ in 0..2 {
-        let (left, right) = frame();
-        route.submit(left, right).unwrap();
-    }
-    // Wait until the forwarder has carried both out of the submission queue.
-    for _ in 0..400 {
-        if route.queued() == 0 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
-    assert_eq!(route.queued(), 0, "forwarder should have drained the queue");
-
-    // Quota is 2: two more buffer up, the third is shed with `Saturated`.
-    for _ in 0..2 {
-        let (left, right) = frame();
-        route.submit(left, right).unwrap();
-    }
-    let (left, right) = frame();
-    let err = route.submit(left, right).unwrap_err();
-    match &err {
-        AsvError::Saturated { context } => {
-            assert!(context.contains("ingest queue"), "context: {context}");
-        }
-        other => panic!("expected Saturated, got {other:?}"),
-    }
-
-    // Shutting the scheduler down wakes the parked forwarder with
-    // `Shutdown`, which poisons the route and sheds its remaining frames.
-    let report = scheduler.join();
-    assert_eq!(report.sessions[0].telemetry.frames_submitted, 1);
-    let stats = ingest.join();
-    assert_eq!(stats.routes.len(), 1);
-    let r = &stats.routes[0];
-    assert_eq!(r.accepted, 4, "frames 1-4 were admitted");
-    assert_eq!(r.forwarded, 1, "only frame 1 reached the sink");
-    assert!(
-        matches!(r.error, Some(AsvError::Shutdown)),
-        "route must record the downstream shutdown: {:?}",
-        r.error
-    );
-    // Shed: the rejected 5th frame plus the two cleared on poisoning.
-    assert_eq!(r.shed, 3);
-    assert_eq!(stats.accepted(), 4);
-    assert_eq!(stats.shed(), 3);
-
-    // And the route keeps failing fast with the shutdown error.
-    let (left, right) = frame();
-    let err = route.submit(left, right).unwrap_err();
-    assert!(matches!(err, AsvError::Shutdown), "{err:?}");
-}
-
-#[test]
 fn queue_depth_tracks_every_transition() {
     let scheduler = manual_scheduler(3, ShedPolicy::Reject);
     let handle = scheduler.add_session(state());
@@ -275,74 +206,4 @@ fn tripped_shard_returns_shard_down_with_the_frames_attached() {
     let report = scheduler.join();
     let t = &report.sessions[0].telemetry;
     assert_eq!(t.frames_dropped, 2, "both refused frames were counted");
-}
-
-#[test]
-fn torn_down_route_counts_discarded_frames_and_hands_them_back() {
-    // One-slot manual inbox under Block: frame 1 fills it, frame 2 parks
-    // the forwarder, so the scheduler shutdown deterministically poisons
-    // the route.
-    let scheduler = manual_scheduler(1, ShedPolicy::Block);
-    let sink = scheduler.add_session(state());
-    let ingest = Ingest::new(
-        IngestConfig::default()
-            .with_forwarders(1)
-            .with_queue_capacity(16)
-            .with_session_quota(16)
-            .with_policy(ShedPolicy::Reject),
-    );
-    let route = ingest.register(sink);
-    for _ in 0..2 {
-        let (left, right) = frame();
-        route.submit(left, right).unwrap();
-    }
-    for _ in 0..400 {
-        if route.queued() == 0 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
-    assert_eq!(route.queued(), 0, "forwarder should have drained the queue");
-
-    // Shutting the scheduler down wakes the parked forwarder with
-    // `Shutdown`, which poisons the route; every refused submit from here
-    // counts into `discarded` and returns the frame to the caller.
-    let report = scheduler.join();
-    assert_eq!(report.sessions[0].telemetry.frames_submitted, 1);
-    let mut refused = 0u64;
-    for _ in 0..400 {
-        let (left, right) = frame();
-        match route.submit_recoverable(left, right) {
-            Ok(()) => std::thread::sleep(std::time::Duration::from_millis(2)),
-            Err((err, left, right)) => {
-                refused += 1;
-                assert!(matches!(err, AsvError::Shutdown), "{err:?}");
-                assert_eq!((left.width(), left.height()), (WIDTH, HEIGHT));
-                assert_eq!((right.width(), right.height()), (WIDTH, HEIGHT));
-                break;
-            }
-        }
-    }
-    assert_eq!(refused, 1, "the route must eventually refuse");
-    // Two more refusals through both entry points.
-    let (left, right) = frame();
-    assert!(route.submit_recoverable(left, right).is_err());
-    let (left, right) = frame();
-    assert!(matches!(
-        route.submit(left, right).unwrap_err(),
-        AsvError::Shutdown
-    ));
-
-    let stats = ingest.join();
-    assert_eq!(stats.routes.len(), 1);
-    assert_eq!(
-        stats.routes[0].discarded, 3,
-        "every post-teardown submit was counted"
-    );
-    assert_eq!(stats.discarded(), 3);
-    assert!(
-        matches!(stats.routes[0].error, Some(AsvError::Shutdown)),
-        "{:?}",
-        stats.routes[0].error
-    );
 }

@@ -4,7 +4,7 @@
 
 use asv::ism::{IsmConfig, IsmPipeline};
 use asv_dnn::{zoo, SurrogateParams, SurrogateStereoDnn};
-use asv_runtime::{parse_scrape, MetricsServer, Scheduler, SchedulerConfig, Stage};
+use asv_runtime::{parse_scrape, MetricsServer, Scheduler, SchedulerConfig, SessionSpec, Stage};
 use asv_scene::{SceneConfig, StereoSequence};
 use asv_stereo::block_matching::BlockMatchParams;
 use std::io::{Read, Write};
@@ -61,7 +61,9 @@ fn live_endpoint_serves_metrics_trace_and_health() {
         })
         .collect();
     let handles: Vec<_> = (0..streams.len())
-        .map(|i| scheduler.add_session_labeled(pipe.state(), Some(format!("camera-{i}"))))
+        .map(|i| {
+            scheduler.add_session(SessionSpec::new(pipe.state()).with_label(format!("camera-{i}")))
+        })
         .collect();
 
     let observer = scheduler.observer();

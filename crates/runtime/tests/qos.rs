@@ -13,7 +13,7 @@ use asv::ism::{IsmConfig, IsmPipeline};
 use asv_dnn::{zoo, SurrogateParams, SurrogateStereoDnn};
 use asv_runtime::{
     parse_scrape, run_overload_sim, CostMetric, OverloadConfig, QosAction, QosConfig, Scheduler,
-    SchedulerConfig, SessionSlo,
+    SchedulerConfig, SessionSlo, SessionSpec,
 };
 use asv_scene::{SceneConfig, StereoSequence};
 use asv_stereo::block_matching::BlockMatchParams;
@@ -160,7 +160,11 @@ fn impossible_slo_actuates_a_live_session() {
     let qos = QosConfig::new(SessionSlo::p95_step_us(1))
         .with_window(4)
         .with_streaks(1, 1_000);
-    let handle = scheduler.add_session_qos(pipe.state(), Some("hot-cam".to_owned()), qos);
+    let handle = scheduler.add_session(
+        SessionSpec::new(pipe.state())
+            .with_label("hot-cam")
+            .with_qos(qos),
+    );
     let stream = sequence(71, 12);
     for frame in stream.frames() {
         handle
@@ -209,7 +213,11 @@ fn generous_slo_never_actuates_and_output_matches_batch() {
 
     let scheduler = Scheduler::new(SchedulerConfig::per_core().with_workers(1));
     let qos = QosConfig::new(SessionSlo::p95_step_us(u64::MAX / 2));
-    let handle = scheduler.add_session_qos(pipe.state(), Some("calm-cam".to_owned()), qos);
+    let handle = scheduler.add_session(
+        SessionSpec::new(pipe.state())
+            .with_label("calm-cam")
+            .with_qos(qos),
+    );
     for frame in stream.frames() {
         handle
             .submit(frame.left.clone(), frame.right.clone())
@@ -248,7 +256,7 @@ proptest! {
 
         let scheduler = Scheduler::new(SchedulerConfig::per_core().with_workers(2));
         let qos = QosConfig::new(SessionSlo::p95_step_us(u64::MAX / 2));
-        let handle = scheduler.add_session_qos(pipe.state(), None, qos);
+        let handle = scheduler.add_session(SessionSpec::new(pipe.state()).with_qos(qos));
         for frame in stream.frames() {
             handle
                 .submit(frame.left.clone(), frame.right.clone())

@@ -1,4 +1,4 @@
-//! Wire-format fuzz, property and allocation tests.
+//! Wire-format fuzz and property tests.
 //!
 //! Locked properties of `asv_runtime::wire`:
 //! * `decode(encode(frame))` round-trips byte-identically — key, sequence
@@ -7,21 +7,16 @@
 //!   structured [`AsvError::Wire`], never a panic;
 //! * truncation at *every* byte boundary is rejected;
 //! * oversized length prefixes and version/magic mismatches map to their
-//!   dedicated [`WireFault`] variants;
-//! * steady-state decoding out of a warm [`BufferPool`] performs **zero**
-//!   heap allocations (the acceptance criterion of the networked-transport
-//!   tentpole), proven with the counting allocator installed globally.
+//!   dedicated [`WireFault`] variants.
+//!
+//! The zero-allocation decode proofs live in `zero_alloc.rs`.
 
 use asv::error::WireFault;
 use asv::AsvError;
 use asv_image::Image;
-use asv_mem::alloc_count::{self, CountingAllocator};
 use asv_mem::BufferPool;
 use asv_runtime::wire::{self, HEADER_BYTES, MAX_MESSAGE_BYTES};
 use proptest::prelude::*;
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator::new();
 
 /// A deterministic non-trivial test plane: every pixel distinct.
 fn plane(width: usize, height: usize, salt: f32) -> Image {
@@ -227,64 +222,6 @@ fn restamp_crc(bytes: &mut [u8]) {
     update(&bytes[32..]);
     let crc = !crc;
     bytes[28..32].copy_from_slice(&crc.to_le_bytes());
-}
-
-/// The tentpole acceptance criterion: once the reusable encode buffer and
-/// the plane pool have been warmed by one frame, the whole
-/// encode → validate → decode cycle runs with zero heap allocations.
-#[test]
-fn warm_pool_decode_performs_zero_allocations() {
-    let width = 32;
-    let height = 24;
-    let left = plane(width, height, 0.0);
-    let right = plane(width, height, 250.0);
-    let mut bytes = Vec::new();
-    let mut pool = BufferPool::new();
-
-    // Warm-up: grows the encode buffer and seeds the pool with two
-    // plane-sized buffers.
-    wire::encode_frame_into(&mut bytes, "warm", 0, &left, &right).unwrap();
-    let warm = wire::decode_frame(&bytes, MAX_MESSAGE_BYTES, &mut pool).unwrap();
-    pool.put(warm.left.into_vec());
-    pool.put(warm.right.into_vec());
-
-    let before = alloc_count::allocations();
-    for seq in 1..=16u64 {
-        wire::encode_frame_into(&mut bytes, "warm", seq, &left, &right).unwrap();
-        let frame = wire::decode_frame(&bytes, MAX_MESSAGE_BYTES, &mut pool).unwrap();
-        assert_eq!(frame.seq, seq);
-        pool.put(frame.left.into_vec());
-        pool.put(frame.right.into_vec());
-    }
-    let allocs = alloc_count::allocations() - before;
-    assert_eq!(
-        allocs, 0,
-        "steady-state encode/decode allocated {allocs} times over 16 frames"
-    );
-}
-
-/// The `fill_planes` server path (decoding into recycled shard images) is
-/// likewise allocation-free, and refuses mis-sized targets.
-#[test]
-fn fill_planes_reuses_caller_images_without_allocating() {
-    let left = plane(16, 12, 0.0);
-    let right = plane(16, 12, 99.0);
-    let mut bytes = Vec::new();
-    wire::encode_frame_into(&mut bytes, "s", 3, &left, &right).unwrap();
-
-    let mut dst_left = Image::zeros(16, 12);
-    let mut dst_right = Image::zeros(16, 12);
-    let before = alloc_count::allocations();
-    let frame = wire::validate(&bytes, MAX_MESSAGE_BYTES).unwrap();
-    frame.fill_planes(&mut dst_left, &mut dst_right).unwrap();
-    let allocs = alloc_count::allocations() - before;
-    assert_eq!(allocs, 0, "fill_planes allocated {allocs} times");
-    assert_eq!(dst_left.as_slice(), left.as_slice());
-    assert_eq!(dst_right.as_slice(), right.as_slice());
-
-    let mut wrong = Image::zeros(8, 8);
-    let fault = wire_fault(frame.fill_planes(&mut wrong, &mut dst_right).unwrap_err());
-    assert!(matches!(fault, WireFault::Length), "got {fault:?}");
 }
 
 proptest! {

@@ -4,10 +4,10 @@
 //!
 //! Each "camera" is a synthetic stereo sequence turned into a frame-by-frame
 //! feed with `StereoSequence::into_stream()` and driven by its own feeder
-//! thread.  Frames enter through the async ingest front-end (bounded
-//! submission queue, per-session quota), are routed to a scheduler shard by
-//! consistent hashing of the camera name, and the shard's worker pool
-//! multiplexes its sessions round-robin under bounded-inbox backpressure.
+//! thread.  Each camera's session is placed on a scheduler shard by
+//! consistent hashing of the camera name; its feeder submits straight into
+//! that shard, and the shard's worker pool multiplexes its sessions
+//! round-robin under bounded-inbox backpressure.
 //!
 //! While the cluster is live, a [`MetricsServer`] exposes it over HTTP
 //! (`/metrics`, `/trace`, `/healthz`); the example scrapes its own endpoint
@@ -19,8 +19,7 @@
 use asv_system::asv::system::{AsvConfig, AsvSystem};
 use asv_system::runtime::{
     parse_scrape, ClientConfig, Cluster, ClusterConfig, FrameClient, FrameServer, FrameSink,
-    Ingest, IngestConfig, MetricsServer, NetConfig, QosConfig, SchedulerConfig, SessionSlo,
-    ShedPolicy, Supervisor,
+    MetricsServer, NetConfig, QosConfig, SchedulerConfig, SessionSlo, SessionSpec, Supervisor,
 };
 use asv_system::scene::{SceneConfig, StereoSequence};
 use std::io::{Read, Write};
@@ -87,45 +86,35 @@ fn main() {
     let addr = server.local_addr();
     println!("metrics endpoint: http://{addr}/metrics (also /trace, /healthz)");
 
-    // 4. The async ingestion front-end: feeders hand frames off here and the
-    //    forwarder pool performs the (possibly blocking) shard submits.
-    let ingest = Ingest::new(
-        IngestConfig::default()
-            .with_policy(ShedPolicy::Block)
-            .with_queue_capacity(CAMERAS * 2)
-            .with_session_quota(2),
-    );
-
-    // 5. One SLO-managed session + one feeder thread per camera, placed by
+    // 4. One SLO-managed session + one feeder thread per camera, placed by
     //    consistent hashing of the camera name.  The SLO is generous (2 s
     //    p95), so the adaptive-QoS controller observes every frame but never
     //    actuates — output stays byte-identical to batch while the
     //    per-session `asv_qos_level` gauge goes live on `/metrics`.
     let slo = SessionSlo::p95_step_us(2_000_000);
-    let routes: Vec<_> = (0..CAMERAS)
+    let sessions: Vec<_> = (0..CAMERAS)
         .map(|camera| {
-            let placed = cluster.add_session_qos(
-                &format!("camera-{camera}"),
-                system.pipeline().state(),
-                QosConfig::new(slo),
-            );
+            let placed = cluster
+                .add_session(
+                    &format!("camera-{camera}"),
+                    SessionSpec::new(system.pipeline().state()).with_qos(QosConfig::new(slo)),
+                )
+                .expect("a fresh cluster places every camera");
             println!("  camera-{camera} -> shard {}", placed.shard());
-            ingest.register(placed.handle().clone())
+            placed
         })
         .collect();
     std::thread::scope(|scope| {
-        for (camera, route) in routes.iter().enumerate() {
-            let route = route.clone();
+        for (camera, session) in sessions.iter().enumerate() {
             scope.spawn(move || {
                 let scene = SceneConfig::scene_flow_like(WIDTH, HEIGHT)
                     .with_seed(7 + camera as u64)
                     .with_objects(3);
                 let stream = StereoSequence::generate(&scene, FRAMES_PER_CAMERA).into_stream();
                 for frame in stream {
-                    // Returns quickly; admission control blocks only when the
-                    // submission queue or this camera's quota is exhausted.
-                    if route.submit(frame.left, frame.right).is_err() {
-                        eprintln!("camera {camera}: route failed, stopping feed");
+                    // Blocks only while this camera's inbox is full.
+                    if session.submit(frame.left, frame.right).is_err() {
+                        eprintln!("camera {camera}: session failed, stopping feed");
                         break;
                     }
                 }
@@ -133,11 +122,10 @@ fn main() {
         }
     });
 
-    // 6. Drain the front-end into the shards, then scrape the live endpoint
-    //    once every frame has been processed.  The scrape must parse with
+    // 5. Scrape the live endpoint once every frame has been processed.  The scrape must parse with
     //    the same Prometheus-text parser the tests use — a malformed line
     //    here fails the CI run.
-    let stats = ingest.join();
+    drop(sessions);
     let observer = cluster.observer();
     let expected = (CAMERAS * FRAMES_PER_CAMERA) as u64;
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
@@ -212,7 +200,7 @@ fn main() {
     );
     server.shutdown();
 
-    // 7. Shut the shards down and print the final report.
+    // 6. Shut the shards down and print the final report.
     let report = cluster.join();
 
     println!("\nshard  sessions  frames  key  p50(us)  p95(us)  p99(us)  peak-queue");
@@ -232,18 +220,17 @@ fn main() {
     }
     let agg = &report.aggregate;
     println!(
-        "\ncluster: {} frames in {:.2}s = {:.2} frames/s  (key ratio {:.3}, \
-         ingest accepted {} / forwarded {} / shed {})",
+        "\ncluster: {} frames in {:.2}s = {:.2} frames/s  (key ratio {:.3}, shed {})",
         agg.frames_processed,
         agg.wall_seconds,
         agg.frames_per_second(),
         agg.key_frame_ratio(),
-        stats.accepted(),
-        stats.forwarded(),
-        stats.shed(),
+        agg.frames_shed,
     );
+    assert_eq!(agg.frames_processed, expected, "every frame was served");
+    assert_eq!(agg.frames_shed, 0, "lossless backpressure sheds nothing");
 
-    // 8. A sample of the final scrape body (counters, gauges and the
+    // 7. A sample of the final scrape body (counters, gauges and the
     //    per-stage latency sums; the full output also carries the buckets).
     println!("\nprometheus scrape sample:");
     for line in report
@@ -271,7 +258,7 @@ fn main() {
         println!("  {line}");
     }
 
-    // 9. Networked transport self-test: stream one camera over a loopback
+    // 8. Networked transport self-test: stream one camera over a loopback
     //    TCP link — wire-encoded frames, CRC validation, sequence gating,
     //    a supervisor-fronted shard — and verify the session's output is
     //    byte-identical to the batch pipeline.  The `ASV_NET_*` knobs
