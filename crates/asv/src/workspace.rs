@@ -98,11 +98,26 @@ impl Workspace {
         self.maps.put(map.into_image().into_vec());
     }
 
-    /// Bytes retained by the pooled planes and the SGM scratch (the flow
-    /// workspaces add roughly twenty frame-sized planes on top).  Useful for
-    /// capacity-planning many concurrent sessions.
+    /// Bytes retained by the pooled planes, the SGM scratch, both flow
+    /// workspaces and the propagation buffers.  Useful for capacity-planning
+    /// many concurrent sessions.
     pub fn retained_bytes(&self) -> usize {
-        self.maps.retained_bytes() + self.stereo.retained_bytes()
+        #[cfg(feature = "parallel")]
+        let propagation_rows = self.propagation_rows.capacity()
+            * std::mem::size_of::<Vec<(usize, usize, f32)>>()
+            + self
+                .propagation_rows
+                .iter()
+                .map(|row| row.capacity() * std::mem::size_of::<(usize, usize, f32)>())
+                .sum::<usize>();
+        #[cfg(not(feature = "parallel"))]
+        let propagation_rows = 0;
+        self.maps.retained_bytes()
+            + self.stereo.retained_bytes()
+            + self.flow_left.retained_bytes()
+            + self.flow_right.retained_bytes()
+            + self.propagated.as_image().retained_bytes()
+            + propagation_rows
     }
 
     /// Releases every retained buffer — the pooled planes, the SGM scratch
@@ -142,5 +157,41 @@ mod tests {
         ws.recycle(again);
         ws.trim();
         assert_eq!(ws.retained_bytes(), 0);
+    }
+
+    #[test]
+    fn retained_bytes_counts_the_flow_workspaces() {
+        use crate::ism::{IsmConfig, IsmPipeline};
+        use asv_dnn::{zoo, SurrogateParams, SurrogateStereoDnn};
+        use asv_scene::{SceneConfig, StereoSequence};
+
+        let config = IsmConfig {
+            propagation_window: 4,
+            surrogate: SurrogateParams {
+                max_disparity: 16,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let surrogate = SurrogateStereoDnn::new(zoo::dispnet(32, 48), config.surrogate);
+        let mut state = IsmPipeline::new(config, surrogate).state();
+        let seq = StereoSequence::generate(&SceneConfig::scene_flow_like(48, 32).with_seed(2), 3);
+        let mut ws = Workspace::new();
+        // A key frame, a non-key frame that warms the flow workspaces, and
+        // a warmed non-key frame.
+        for frame in seq.frames() {
+            let result = state.step_with(&mut ws, &frame.left, &frame.right).unwrap();
+            ws.recycle(result.disparity);
+        }
+        let level0 = 2 * 48 * 32 * std::mem::size_of::<f32>();
+        assert!(ws.flow_left.retained_bytes() >= level0);
+        assert!(ws.flow_right.retained_bytes() >= level0);
+        assert!(
+            ws.retained_bytes()
+                >= ws.maps.retained_bytes()
+                    + ws.stereo.retained_bytes()
+                    + ws.flow_left.retained_bytes()
+                    + ws.flow_right.retained_bytes()
+        );
     }
 }

@@ -20,10 +20,26 @@
 //! [`FlowOpBreakdown`] reports the arithmetic-operation split between those
 //! stages so the performance model can reproduce the paper's "99 % of
 //! Farneback is blur + two point-wise stages" claim.
+//!
+//! The CPU kernels are organised for throughput without changing a single
+//! output bit (pinned by `tests/kernel_differential.rs`):
+//!
+//! * the blurs run tap-major over whole row spans, so they auto-vectorize;
+//! * an expansion runs 9 one-dimensional passes instead of 12, because the
+//!   six moment filters share three distinct horizontal passes;
+//! * the matrix update computes each pixel's bilinear sample position and
+//!   weights once and gathers all five planes of the second expansion with
+//!   them, through row slices rather than per-pixel accessors;
+//! * a [`FlowWorkspace`] keeps every pyramid level's expansion of the last
+//!   call's second frame, so a chained call (this call's `frame0` is the
+//!   last call's `frame1`, as for consecutive ISM non-key frames) builds
+//!   only the new frame's pyramid and expansions.
 
 use crate::field::{FlowError, FlowField};
 use crate::Result;
-use asv_image::gaussian::{blur_in_place, gaussian_kernel, separable_filter_into};
+use asv_image::gaussian::{
+    blur_in_place, convolve_vertical_into, gaussian_kernel, separable_filter_into,
+};
 use asv_image::pyramid::Pyramid;
 use asv_image::Image;
 use asv_trace::{KernelTimings, Stage};
@@ -81,6 +97,31 @@ impl PolyExpansion {
         self.a11.height()
     }
 
+    /// Quadratic coefficient `a11` (the `x²` curvature).
+    pub fn a11(&self) -> &Image {
+        &self.a11
+    }
+
+    /// Quadratic coefficient `a12` (half the `xy` term).
+    pub fn a12(&self) -> &Image {
+        &self.a12
+    }
+
+    /// Quadratic coefficient `a22` (the `y²` curvature).
+    pub fn a22(&self) -> &Image {
+        &self.a22
+    }
+
+    /// Linear coefficient `b1` (the `x` gradient).
+    pub fn b1(&self) -> &Image {
+        &self.b1
+    }
+
+    /// Linear coefficient `b2` (the `y` gradient).
+    pub fn b2(&self) -> &Image {
+        &self.b2
+    }
+
     /// An empty expansion (0×0 planes, no allocation); populated by
     /// [`polynomial_expansion_into`].
     fn empty() -> Self {
@@ -91,6 +132,13 @@ impl PolyExpansion {
             b1: Image::default(),
             b2: Image::default(),
         }
+    }
+
+    fn retained_bytes(&self) -> usize {
+        [&self.a11, &self.a12, &self.a22, &self.b1, &self.b2]
+            .iter()
+            .map(|plane| plane.retained_bytes())
+            .sum()
     }
 }
 
@@ -172,33 +220,40 @@ impl KernelCache {
     }
 }
 
-/// Reusable scratch for one Farneback flow estimation: pyramids, polynomial
-/// expansions, the per-iteration matrix/blur planes and the flow double
-/// buffer.
+/// The parameters a workspace's second-frame pyramid and expansions were
+/// built with: `(pyramid_levels, min_level_size, poly_sigma bits)`.
+type ChainKey = (usize, usize, u32);
+
+/// Reusable scratch for one Farneback flow estimation: pyramids, per-level
+/// polynomial expansions, the per-iteration matrix/blur planes and the flow
+/// double buffer.
 ///
 /// A fresh workspace performs no allocation; the first
 /// [`farneback_flow_with`] call sizes every buffer and subsequent calls on
 /// same-sized frames reuse them, making steady-state flow estimation
 /// allocation-free.  Hold one workspace per camera view (the ISM pipeline
-/// holds two, one for the left and one for the right stream).
+/// holds two, one for the left and one for the right stream): a call whose
+/// `frame0` is bit-identical to the previous call's `frame1` then reuses
+/// that frame's pyramid and expansions instead of rebuilding them.
 #[derive(Debug)]
 pub struct FlowWorkspace {
     kernels: KernelCache,
     pyr0: Pyramid,
     pyr1: Pyramid,
-    exp0: PolyExpansion,
-    exp1: PolyExpansion,
+    /// Per-level expansions of each frame (index = pyramid level).
+    exp0: Vec<PolyExpansion>,
+    exp1: Vec<PolyExpansion>,
+    /// Set when the last call succeeded: `pyr1` and `exp1` then hold that
+    /// call's `frame1`, built with these parameters.
+    chain: Option<ChainKey>,
     /// The six weighted moment projections of the expansion.
     moments: [Image; 6],
     /// Interleaved per-pixel solve buffer of the parallel expansion driver.
     solve: Vec<[f32; 5]>,
     tmp: Image,
     tmp2: Image,
-    g11: Image,
-    g12: Image,
-    g22: Image,
-    h1: Image,
-    h2: Image,
+    /// The matrix-update planes `[g11, g12, g22, h1, h2]`.
+    planes: [Image; 5],
     /// Flow double buffer; after a successful [`farneback_flow_with`] call
     /// `flow_a` holds the final estimate.
     flow_a: FlowField,
@@ -217,17 +272,14 @@ impl FlowWorkspace {
             kernels: KernelCache::empty(),
             pyr0: Pyramid::empty(),
             pyr1: Pyramid::empty(),
-            exp0: PolyExpansion::empty(),
-            exp1: PolyExpansion::empty(),
+            exp0: Vec::new(),
+            exp1: Vec::new(),
+            chain: None,
             moments: std::array::from_fn(|_| Image::default()),
             solve: Vec::new(),
             tmp: Image::default(),
             tmp2: Image::default(),
-            g11: Image::default(),
-            g12: Image::default(),
-            g22: Image::default(),
-            h1: Image::default(),
-            h2: Image::default(),
+            planes: std::array::from_fn(|_| Image::default()),
             flow_a: FlowField::zeros(0, 0),
             flow_b: FlowField::zeros(0, 0),
             timings: KernelTimings::new(),
@@ -243,6 +295,31 @@ impl FlowWorkspace {
     /// field behind; the next call re-warms the buffer).
     pub fn take_flow(&mut self) -> FlowField {
         std::mem::replace(&mut self.flow_a, FlowField::zeros(0, 0))
+    }
+
+    /// Bytes held by the workspace's buffers: both pyramids, every level's
+    /// expansion of both frames, the moment planes, the solve buffer, the
+    /// convolution intermediates, the matrix planes and the flow double
+    /// buffer.
+    pub fn retained_bytes(&self) -> usize {
+        let images = |planes: &[Image]| planes.iter().map(Image::retained_bytes).sum::<usize>();
+        let expansions = |levels: &[PolyExpansion]| {
+            levels
+                .iter()
+                .map(PolyExpansion::retained_bytes)
+                .sum::<usize>()
+        };
+        self.pyr0.retained_bytes()
+            + self.pyr1.retained_bytes()
+            + expansions(&self.exp0)
+            + expansions(&self.exp1)
+            + images(&self.moments)
+            + self.solve.capacity() * std::mem::size_of::<[f32; 5]>()
+            + self.tmp.retained_bytes()
+            + self.tmp2.retained_bytes()
+            + images(&self.planes)
+            + self.flow_a.retained_bytes()
+            + self.flow_b.retained_bytes()
     }
 }
 
@@ -371,14 +448,17 @@ fn polynomial_expansion_into(
     let (k0, k1, k2) = (&kernels.k0, &kernels.k1, &kernels.k2);
 
     // Projection of the image on the weighted basis: v_k = Σ w · b_k · f,
-    // in basis order [1, x, y, x², y², xy].
+    // in basis order [1, x, y, x², y², xy].  Only three horizontal filters
+    // are distinct (k0, k1, k2); each runs once into `tmp`, and the moments
+    // that share it are further vertical passes of `tmp`: 9 one-dimensional
+    // passes instead of 12.
     let [v0, v1, v2, v3, v4, v5] = moments;
     separable_filter_into(image, k0, k0, tmp, v0);
+    convolve_vertical_into(tmp, k1, v2);
+    convolve_vertical_into(tmp, k2, v4);
     separable_filter_into(image, k1, k0, tmp, v1);
-    separable_filter_into(image, k0, k1, tmp, v2);
+    convolve_vertical_into(tmp, k1, v5);
     separable_filter_into(image, k2, k0, tmp, v3);
-    separable_filter_into(image, k0, k2, tmp, v4);
-    separable_filter_into(image, k1, k1, tmp, v5);
 
     let ginv = kernels.ginv;
     let width = image.width();
@@ -475,88 +555,154 @@ fn polynomial_expansion_into(
     Ok(())
 }
 
-/// One Farneback displacement refinement at a single scale, writing into
-/// reusable buffers.
+/// The matrix-update stage: per pixel, averages the quadratic terms of the
+/// two expansions, sampling `exp1` bilinearly at the position displaced by
+/// `prior`, and assembles the normal equations of `A d = Δb` into the planes
+/// `[g11, g12, g22, h1, h2]`.
 ///
-/// Implements the matrix-update stage (assembling `G`, `h` per pixel), the
-/// Gaussian-blur aggregation and the compute-flow stage (solving the 2×2
-/// system) described in the module documentation.  `g11`..`h2` are the five
-/// matrix planes (blurred in place with `tmp` as intermediate) and `out`
-/// receives the refined flow.
-#[allow(clippy::too_many_arguments)]
-fn refine_displacement_into(
+/// The sample position, its four gather indices and the bilinear weights are
+/// computed once per pixel and shared by all five planes of `exp1`.  The
+/// interpolation keeps [`Image::sample_bilinear`]'s clamp and expression
+/// order, so every plane is bit-identical to sampling each one on its own.
+fn matrix_update_into(
     exp0: &PolyExpansion,
     exp1: &PolyExpansion,
     prior: &FlowField,
-    blur_kernel: &[f32],
-    g11: &mut Image,
-    g12: &mut Image,
-    g22: &mut Image,
-    h1: &mut Image,
-    h2: &mut Image,
-    tmp: &mut Image,
-    out: &mut FlowField,
+    planes: &mut [Image; 5],
 ) {
     let width = exp0.width();
     let height = exp0.height();
-    // The matrix-update loop assigns every pixel of all five planes.
-    g11.reshape_scratch(width, height);
-    g12.reshape_scratch(width, height);
-    g22.reshape_scratch(width, height);
-    h1.reshape_scratch(width, height);
-    h2.reshape_scratch(width, height);
-
-    // --- Matrix update (point-wise) ---
+    // Every pixel of all five planes is assigned below.
+    for plane in planes.iter_mut() {
+        plane.reshape_scratch(width, height);
+    }
+    let mut planes = planes.each_mut().map(|plane| plane.as_mut_slice());
+    let (prior_u, prior_v) = (prior.u().as_slice(), prior.v().as_slice());
+    let e0 = [&exp0.a11, &exp0.a12, &exp0.a22, &exp0.b1, &exp0.b2].map(Image::as_slice);
+    let [a11_1, a12_1, a22_1, b1_1, b2_1] =
+        [&exp1.a11, &exp1.a12, &exp1.a22, &exp1.b1, &exp1.b2].map(Image::as_slice);
+    let (max_x, max_y) = ((width - 1) as f32, (height - 1) as f32);
     for y in 0..height {
+        let row = y * width;
+        let (pu, pv) = (&prior_u[row..][..width], &prior_v[row..][..width]);
+        let [a11_0, a12_0, a22_0, b1_0, b2_0] = e0.map(|plane| &plane[row..][..width]);
+        let [g11, g12, g22, h1, h2] = planes.each_mut().map(|plane| &mut plane[row..][..width]);
         for x in 0..width {
-            let (du, dv) = prior.at(x, y);
-            let sx = x as f32 + du;
-            let sy = y as f32 + dv;
-            // Average the quadratic terms of the two expansions; sample the
-            // second frame's expansion at the displaced position.
-            let a11 = 0.5 * (exp0.a11.at(x, y) + exp1.a11.sample_bilinear(sx, sy));
-            let a12 = 0.5 * (exp0.a12.at(x, y) + exp1.a12.sample_bilinear(sx, sy));
-            let a22 = 0.5 * (exp0.a22.at(x, y) + exp1.a22.sample_bilinear(sx, sy));
-            let db1 =
-                -0.5 * (exp1.b1.sample_bilinear(sx, sy) - exp0.b1.at(x, y)) + a11 * du + a12 * dv;
-            let db2 =
-                -0.5 * (exp1.b2.sample_bilinear(sx, sy) - exp0.b2.at(x, y)) + a12 * du + a22 * dv;
+            let (du, dv) = (pu[x], pv[x]);
+            let sx = (x as f32 + du).clamp(0.0, max_x);
+            let sy = (y as f32 + dv).clamp(0.0, max_y);
+            let x0 = sx.floor() as usize;
+            let y0 = sy.floor() as usize;
+            let x1 = (x0 + 1).min(width - 1);
+            let y1 = (y0 + 1).min(height - 1);
+            let dx = sx - x0 as f32;
+            let dy = sy - y0 as f32;
+            let (i00, i10) = (y0 * width + x0, y0 * width + x1);
+            let (i01, i11) = (y1 * width + x0, y1 * width + x1);
+            let sample = |plane: &[f32]| {
+                plane[i00] * (1.0 - dx) * (1.0 - dy)
+                    + plane[i10] * dx * (1.0 - dy)
+                    + plane[i01] * (1.0 - dx) * dy
+                    + plane[i11] * dx * dy
+            };
+            // Average the quadratic terms of the two expansions; the second
+            // frame's expansion is sampled at the displaced position.
+            let a11 = 0.5 * (a11_0[x] + sample(a11_1));
+            let a12 = 0.5 * (a12_0[x] + sample(a12_1));
+            let a22 = 0.5 * (a22_0[x] + sample(a22_1));
+            let db1 = -0.5 * (sample(b1_1) - b1_0[x]) + a11 * du + a12 * dv;
+            let db2 = -0.5 * (sample(b2_1) - b2_0[x]) + a12 * du + a22 * dv;
             // Normal equations of A d = Δb.
-            g11.set(x, y, a11 * a11 + a12 * a12);
-            g12.set(x, y, a11 * a12 + a12 * a22);
-            g22.set(x, y, a12 * a12 + a22 * a22);
-            h1.set(x, y, a11 * db1 + a12 * db2);
-            h2.set(x, y, a12 * db1 + a22 * db2);
+            g11[x] = a11 * a11 + a12 * a12;
+            g12[x] = a11 * a12 + a12 * a22;
+            g22[x] = a12 * a12 + a22 * a22;
+            h1[x] = a11 * db1 + a12 * db2;
+            h2[x] = a12 * db1 + a22 * db2;
         }
     }
+}
 
-    // --- Gaussian blur aggregation (convolution) ---
-    blur_in_place(g11, blur_kernel, tmp);
-    blur_in_place(g12, blur_kernel, tmp);
-    blur_in_place(g22, blur_kernel, tmp);
-    blur_in_place(h1, blur_kernel, tmp);
-    blur_in_place(h2, blur_kernel, tmp);
-
-    // --- Compute flow (point-wise 2x2 solve; every pixel assigned) ---
+/// The compute-flow stage: solves the blurred 2×2 system of every pixel
+/// into `out`, keeping the `prior` displacement where the system is
+/// singular.
+fn compute_flow_into(planes: &[Image; 5], prior: &FlowField, out: &mut FlowField) {
+    let (width, height) = (planes[0].width(), planes[0].height());
+    let n = width * height;
+    // Every pixel is assigned below.
     out.reshape_scratch(width, height);
-    for y in 0..height {
-        for x in 0..width {
-            let a = g11.at(x, y);
-            let b = g12.at(x, y);
-            let c = g22.at(x, y);
-            let det = a * c - b * b;
-            if det.abs() < 1e-9 {
-                let (pu, pv) = prior.at(x, y);
-                out.set(x, y, pu, pv);
-                continue;
-            }
-            let r1 = h1.at(x, y);
-            let r2 = h2.at(x, y);
-            let du = (c * r1 - b * r2) / det;
-            let dv = (a * r2 - b * r1) / det;
-            out.set(x, y, du, dv);
+    let [g11, g12, g22, h1, h2] = planes.each_ref().map(|plane| &plane.as_slice()[..n]);
+    let (prior_u, prior_v) = (&prior.u().as_slice()[..n], &prior.v().as_slice()[..n]);
+    let (u, v) = out.components_mut();
+    let (u, v) = (&mut u.as_mut_slice()[..n], &mut v.as_mut_slice()[..n]);
+    for i in 0..n {
+        let (a, b, c) = (g11[i], g12[i], g22[i]);
+        let det = a * c - b * b;
+        if det.abs() < 1e-9 {
+            u[i] = prior_u[i];
+            v[i] = prior_v[i];
+            continue;
         }
+        let (r1, r2) = (h1[i], h2[i]);
+        u[i] = (c * r1 - b * r2) / det;
+        v[i] = (a * r2 - b * r1) / det;
     }
+}
+
+/// The matrix-update stage into fresh planes `[g11, g12, g22, h1, h2]`:
+/// per pixel, the normal equations of `A d = Δb` assembled from `exp0` and
+/// from `exp1` sampled at the position displaced by `prior`.
+///
+/// # Panics
+///
+/// Panics when the two expansions and `prior` differ in size.
+pub fn matrix_update(exp0: &PolyExpansion, exp1: &PolyExpansion, prior: &FlowField) -> [Image; 5] {
+    let size = (exp0.width(), exp0.height());
+    assert!(
+        size == (exp1.width(), exp1.height()) && size == (prior.width(), prior.height()),
+        "matrix update needs same-sized expansions and prior"
+    );
+    let mut planes = std::array::from_fn(|_| Image::default());
+    matrix_update_into(exp0, exp1, prior, &mut planes);
+    planes
+}
+
+/// The compute-flow stage into a fresh field: solves the per-pixel systems
+/// `[g11, g12, g22, h1, h2]` (normally blurred [`matrix_update`] planes),
+/// falling back to `prior` where a system is singular.
+///
+/// # Panics
+///
+/// Panics when the planes and `prior` differ in size.
+pub fn compute_flow(planes: &[Image; 5], prior: &FlowField) -> FlowField {
+    let size = (prior.width(), prior.height());
+    assert!(
+        planes
+            .iter()
+            .all(|plane| (plane.width(), plane.height()) == size),
+        "compute flow needs planes the size of the prior"
+    );
+    let mut out = FlowField::zeros(0, 0);
+    compute_flow_into(planes, prior, &mut out);
+    out
+}
+
+fn chain_key(params: &FarnebackParams) -> ChainKey {
+    (
+        params.pyramid_levels,
+        params.min_level_size,
+        params.poly_sigma.to_bits(),
+    )
+}
+
+/// Whether two images have the same size and the same pixels bit for bit
+/// (so `-0.0` and `0.0` differ, and equal NaNs match).
+fn same_bits(a: &Image, b: &Image) -> bool {
+    a.width() == b.width()
+        && a.height() == b.height()
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(p, q)| p.to_bits() == q.to_bits())
 }
 
 /// Estimates the dense optical flow from `frame0` to `frame1`.
@@ -580,6 +726,12 @@ pub fn farneback_flow(
 /// frames).  The estimated flow is left in the workspace, readable through
 /// [`FlowWorkspace::flow`].
 ///
+/// A chained call, whose `frame0` is bit-identical to the previous
+/// successful call's `frame1` with the same `pyramid_levels`,
+/// `min_level_size` and `poly_sigma`, reuses that frame's pyramid and
+/// expansions and builds only `frame1`'s.  The output is the same as with a
+/// fresh workspace.
+///
 /// # Errors
 ///
 /// Same conditions as [`farneback_flow`].
@@ -589,6 +741,13 @@ pub fn farneback_flow_with(
     frame1: &Image,
     params: &FarnebackParams,
 ) -> Result<()> {
+    // A chained call's `frame0` is the last call's `frame1`, whose pyramid
+    // and expansions `pyr1`/`exp1` still hold.  Taking the key before any
+    // fallible step means a failed call leaves nothing to chain from.
+    let key = chain_key(params);
+    let chained = ws.chain.take() == Some(key)
+        && ws.pyr1.num_levels() > 0
+        && same_bits(ws.pyr1.level(0), frame0);
     if frame0.width() != frame1.width() || frame0.height() != frame1.height() {
         // lint: alloc-ok(error path)
         return Err(FlowError::frame_mismatch(format!(
@@ -612,16 +771,21 @@ pub fn farneback_flow_with(
     ws.timings.clear();
     ws.kernels.ensure_pyramid();
     let pyramid_started = std::time::Instant::now();
-    ws.pyr0
-        .rebuild(
-            frame0,
-            params.pyramid_levels,
-            params.min_level_size,
-            &ws.kernels.pyramid,
-            &mut ws.tmp,
-            &mut ws.tmp2,
-        )
-        .map_err(FlowError::invalid_parameter)?;
+    if chained {
+        std::mem::swap(&mut ws.pyr0, &mut ws.pyr1);
+        std::mem::swap(&mut ws.exp0, &mut ws.exp1);
+    } else {
+        ws.pyr0
+            .rebuild(
+                frame0,
+                params.pyramid_levels,
+                params.min_level_size,
+                &ws.kernels.pyramid,
+                &mut ws.tmp,
+                &mut ws.tmp2,
+            )
+            .map_err(FlowError::invalid_parameter)?;
+    }
     ws.pyr1
         .rebuild(
             frame1,
@@ -640,6 +804,12 @@ pub fn farneback_flow_with(
     );
     ws.kernels.ensure_blur(params.blur_sigma);
     let levels = ws.pyr0.num_levels().min(ws.pyr1.num_levels());
+    while ws.exp0.len() < levels {
+        ws.exp0.push(PolyExpansion::empty()); // lint: alloc-ok(first call only; later calls reuse the levels)
+    }
+    while ws.exp1.len() < levels {
+        ws.exp1.push(PolyExpansion::empty()); // lint: alloc-ok(first call only; later calls reuse the levels)
+    }
 
     let mut first = true;
     for level in (0..levels).rev() {
@@ -655,18 +825,17 @@ pub fn farneback_flow_with(
             solve,
             tmp,
             tmp2,
-            g11,
-            g12,
-            g22,
-            h1,
-            h2,
+            planes,
             flow_a,
             flow_b,
             ..
         } = ws;
         let im0 = pyr0.level(level);
         let im1 = pyr1.level(level);
-        polynomial_expansion_into(im0, params.poly_sigma, kernels, moments, tmp, solve, exp0)?;
+        let (exp0, exp1) = (&mut exp0[level], &mut exp1[level]);
+        if !chained {
+            polynomial_expansion_into(im0, params.poly_sigma, kernels, moments, tmp, solve, exp0)?;
+        }
         polynomial_expansion_into(im1, params.poly_sigma, kernels, moments, tmp, solve, exp1)?;
         if first {
             flow_a.reset_zeros(im0.width(), im0.height());
@@ -676,25 +845,19 @@ pub fn farneback_flow_with(
             std::mem::swap(flow_a, flow_b);
         }
         for _ in 0..params.iterations {
-            refine_displacement_into(
-                exp0,
-                exp1,
-                flow_a,
-                &kernels.blur,
-                g11,
-                g12,
-                g22,
-                h1,
-                h2,
-                tmp2,
-                flow_b,
-            );
+            // One refinement: matrix update, blur aggregation, compute flow.
+            matrix_update_into(exp0, exp1, flow_a, planes);
+            for plane in planes.iter_mut() {
+                blur_in_place(plane, &kernels.blur, tmp2);
+            }
+            compute_flow_into(planes, flow_a, flow_b);
             std::mem::swap(flow_a, flow_b);
         }
     }
     // The finest level's flow sits in `flow_a` after the last swap; both
     // double-buffer fields keep their full-resolution capacity for the next
     // call, so the steady state never re-allocates.
+    ws.chain = Some(key);
     Ok(())
 }
 
@@ -730,7 +893,14 @@ impl FlowOpBreakdown {
 }
 
 /// Analytical operation count of [`farneback_flow`] for a frame of the given
-/// size, mirroring the loop structure of the implementation.
+/// size, as the accelerator maps it (`asv_accel::ism` and the figures build
+/// on these counts): 12 one-dimensional passes per expansion and both
+/// frames expanded on every call.
+///
+/// The CPU path does less work than counted here.  It runs 9 passes per
+/// expansion, because the six moment filters share three horizontal passes,
+/// and a chained [`farneback_flow_with`] call skips `frame0`'s expansion
+/// altogether.
 pub fn farneback_op_breakdown(
     width: usize,
     height: usize,
@@ -919,5 +1089,118 @@ mod tests {
         // qHD non-key-frame flow cost is tens of millions of operations, not
         // billions (the DNN costs 10^2-10^4 x more).
         assert!(b.total() < 2_000_000_000);
+    }
+
+    /// The flow of a fresh workspace, the reference every reuse must match.
+    fn fresh(frame0: &Image, frame1: &Image, params: &FarnebackParams) -> FlowField {
+        farneback_flow(frame0, frame1, params).unwrap()
+    }
+
+    fn assert_same_flow(reference: &FlowField, actual: &FlowField) {
+        assert!(same_bits(reference.u(), actual.u()), "u differs");
+        assert!(same_bits(reference.v(), actual.v()), "v differs");
+    }
+
+    /// Whether the next call with `frame0` and `params` reuses the cached
+    /// second frame.
+    fn will_chain(ws: &FlowWorkspace, frame0: &Image, params: &FarnebackParams) -> bool {
+        ws.chain == Some(chain_key(params)) && same_bits(ws.pyr1.level(0), frame0)
+    }
+
+    fn stream(width: usize, height: usize, frames: usize) -> Vec<Image> {
+        let base = textured(width + 2 * frames, height + frames);
+        (0..frames)
+            .map(|t| Image::from_fn(width, height, |x, y| base.at(x + 2 * t, y + t / 2)))
+            .collect()
+    }
+
+    #[test]
+    fn chained_calls_reuse_the_previous_frame_and_match_fresh() {
+        let frames = stream(40, 32, 5);
+        let params = FarnebackParams::default();
+        let mut ws = FlowWorkspace::new();
+        for (t, pair) in frames.windows(2).enumerate() {
+            assert_eq!(will_chain(&ws, &pair[0], &params), t > 0, "call {t}");
+            farneback_flow_with(&mut ws, &pair[0], &pair[1], &params).unwrap();
+            assert_same_flow(&fresh(&pair[0], &pair[1], &params), ws.flow());
+        }
+    }
+
+    #[test]
+    fn alternating_streams_match_fresh() {
+        let a = stream(40, 32, 4);
+        let b: Vec<Image> = stream(40, 32, 4)
+            .iter()
+            .map(|f| Image::from_fn(40, 32, |x, y| f.at(39 - x, y) * 0.5))
+            .collect();
+        let params = FarnebackParams::default();
+        let mut ws = FlowWorkspace::new();
+        for t in 0..3 {
+            for frames in [&a, &b] {
+                assert!(!will_chain(&ws, &frames[t], &params));
+                farneback_flow_with(&mut ws, &frames[t], &frames[t + 1], &params).unwrap();
+                assert_same_flow(&fresh(&frames[t], &frames[t + 1], &params), ws.flow());
+            }
+        }
+    }
+
+    #[test]
+    fn parameter_changes_between_chained_calls_match_fresh() {
+        let frames = stream(48, 40, 4);
+        let base = FarnebackParams::default();
+        let changes = [
+            FarnebackParams {
+                poly_sigma: 1.5,
+                ..base
+            },
+            FarnebackParams {
+                pyramid_levels: 2,
+                ..base
+            },
+            FarnebackParams {
+                min_level_size: 8,
+                ..base
+            },
+        ];
+        for changed in changes {
+            let mut ws = FlowWorkspace::new();
+            for (t, params) in [base, changed, base].iter().enumerate() {
+                assert!(!will_chain(&ws, &frames[t], params));
+                farneback_flow_with(&mut ws, &frames[t], &frames[t + 1], params).unwrap();
+                assert_same_flow(&fresh(&frames[t], &frames[t + 1], params), ws.flow());
+            }
+        }
+    }
+
+    #[test]
+    fn a_signed_zero_breaks_the_chain() {
+        let frames = stream(40, 32, 3);
+        let zeroed: Vec<Image> = frames
+            .iter()
+            .map(|f| Image::from_fn(40, 32, |x, y| if x % 5 == 0 { 0.0 } else { f.at(x, y) }))
+            .collect();
+        let mut flipped = zeroed[1].clone();
+        flipped.set(10, 7, -0.0);
+        let params = FarnebackParams::default();
+        let mut ws = FlowWorkspace::new();
+        farneback_flow_with(&mut ws, &zeroed[0], &zeroed[1], &params).unwrap();
+        assert!(!will_chain(&ws, &flipped, &params));
+        farneback_flow_with(&mut ws, &flipped, &zeroed[2], &params).unwrap();
+        assert_same_flow(&fresh(&flipped, &zeroed[2], &params), ws.flow());
+    }
+
+    #[test]
+    fn a_failed_call_breaks_the_chain() {
+        let frames = stream(40, 32, 3);
+        let params = FarnebackParams::default();
+        let mut ws = FlowWorkspace::new();
+        farneback_flow_with(&mut ws, &frames[0], &frames[1], &params).unwrap();
+        let small = Image::filled(20, 16, 0.5);
+        assert!(farneback_flow_with(&mut ws, &frames[1], &small, &params).is_err());
+        assert!(!will_chain(&ws, &frames[1], &params));
+        farneback_flow_with(&mut ws, &frames[1], &frames[2], &params).unwrap();
+        assert_same_flow(&fresh(&frames[1], &frames[2], &params), ws.flow());
+        // The successful call re-arms the chain.
+        assert!(will_chain(&ws, &frames[2], &params));
     }
 }

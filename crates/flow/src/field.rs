@@ -154,6 +154,17 @@ impl FlowField {
         &mut self.v
     }
 
+    /// Both mutable component images at once, `(u, v)`, for kernels that
+    /// write the two planes in the same pass.
+    pub fn components_mut(&mut self) -> (&mut Image, &mut Image) {
+        (&mut self.u, &mut self.v)
+    }
+
+    /// Bytes held by the two component buffers.
+    pub fn retained_bytes(&self) -> usize {
+        self.u.retained_bytes() + self.v.retained_bytes()
+    }
+
     /// Displacement at pixel `(x, y)`.
     pub fn at(&self, x: usize, y: usize) -> (f32, f32) {
         (self.u.at(x, y), self.v.at(x, y))

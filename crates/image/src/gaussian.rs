@@ -32,10 +32,11 @@ pub fn gaussian_kernel(sigma: f32) -> Vec<f32> {
 /// output image.
 ///
 /// The interior of each row (where the window never leaves the image) runs
-/// as a contiguous slice dot product with no clamping or bounds checks; only
-/// the `radius` pixels at each border take the clamped path.  Tap order and
-/// per-pixel arithmetic match the naive reference exactly, so the output is
-/// bit-identical.
+/// tap-major: the span is zeroed, then each tap adds `k * src[x + i]` across
+/// the whole span, a contiguous auto-vectorizable pass.  Only the `radius`
+/// pixels at each border take the clamped per-pixel path.  Every pixel still
+/// accumulates from 0.0 in the reference tap order, so the output is
+/// bit-identical to the naive per-pixel loop.
 fn convolve_horizontal_into(image: &Image, kernel: &[f32], out: &mut Image) {
     let radius = kernel.len() / 2;
     let width = image.width();
@@ -59,13 +60,12 @@ fn convolve_horizontal_into(image: &Image, kernel: &[f32], out: &mut Image) {
             for (x, slot) in dst.iter_mut().enumerate().take(radius) {
                 *slot = clamped(src, x);
             }
-            for x in radius..width - radius {
-                let window = &src[x - radius..x - radius + kernel.len()];
-                let mut acc = 0.0;
-                for (&k, &v) in kernel.iter().zip(window) {
-                    acc += k * v;
+            let span = &mut dst[radius..width - radius];
+            span.fill(0.0);
+            for (i, &k) in kernel.iter().enumerate() {
+                for (slot, &value) in span.iter_mut().zip(&src[i..]) {
+                    *slot += k * value;
                 }
-                dst[x] = acc;
             }
             for (x, slot) in dst.iter_mut().enumerate().skip(width - radius) {
                 *slot = clamped(src, x);
@@ -86,7 +86,11 @@ fn convolve_horizontal_into(image: &Image, kernel: &[f32], out: &mut Image) {
 /// a fixed pixel the taps accumulate in exactly the reference order
 /// (starting from 0.0), so the output is bit-identical to the naive
 /// per-pixel loop.
-fn convolve_vertical_into(image: &Image, kernel: &[f32], out: &mut Image) {
+///
+/// Exposed on its own so callers that need several vertical filters of the
+/// same horizontal pass (the Farnebäck polynomial expansion) can run that
+/// horizontal pass once.
+pub fn convolve_vertical_into(image: &Image, kernel: &[f32], out: &mut Image) {
     let radius = (kernel.len() / 2) as isize;
     let width = image.width();
     let height = image.height();
@@ -140,7 +144,9 @@ pub fn separable_filter(image: &Image, kernel_x: &[f32], kernel_y: &[f32]) -> Im
 }
 
 /// [`separable_filter`] writing into a reusable output image, with `tmp` as
-/// the intermediate of the horizontal pass.
+/// the intermediate of the horizontal pass.  `tmp` still holds that
+/// horizontal pass on return, so further vertical filters of it can follow
+/// through [`convolve_vertical_into`].
 pub fn separable_filter_into(
     image: &Image,
     kernel_x: &[f32],

@@ -104,6 +104,11 @@ impl Pyramid {
         &self.levels[i]
     }
 
+    /// Bytes held by the level buffers.
+    pub fn retained_bytes(&self) -> usize {
+        self.levels.iter().map(Image::retained_bytes).sum()
+    }
+
     /// Iterates levels from coarsest to finest, the order in which
     /// coarse-to-fine flow refines its estimate.
     pub fn iter_coarse_to_fine(&self) -> impl Iterator<Item = &Image> {
