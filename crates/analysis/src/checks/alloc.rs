@@ -4,7 +4,8 @@
 //! allocate — for the branches they execute.  This pass covers the rest:
 //! it walks the call graph from the hot-path roots (`IsmState::step_with`,
 //! every `FrameSink::deliver` impl, `SequenceGate::admit`,
-//! `wire::validate_message`) and flags allocating constructs anywhere in
+//! `wire::validate_message`, the server's per-message `receive_message`)
+//! and flags allocating constructs anywhere in
 //! the reachable set, including error and cold branches no test drives.
 //!
 //! A finding is silenced by `// lint: alloc-ok(<reason>)` on the line or

@@ -135,6 +135,12 @@ impl Default for AnalyzerConfig {
                     trait_name: None,
                     file_suffix: Some("wire.rs"),
                 },
+                RootSpec {
+                    fn_name: "receive_message",
+                    type_name: None,
+                    trait_name: None,
+                    file_suffix: Some("net.rs"),
+                },
             ],
             readme: "README.md",
             export_file: "crates/runtime/src/export.rs",

@@ -447,19 +447,11 @@ fn propagate_and_refine_into(
     // Steps 2 + 3: reconstruct each correspondence pair from the previous
     // disparity map and move both members along their view's motion.
     let propagate_span = ws.tracer.enter(Stage::Propagate);
-    #[cfg(feature = "parallel")]
-    propagate_correspondences_pooled(
-        prev_disparity,
-        ws.flow_left.flow(),
-        ws.flow_right.flow(),
-        &mut ws.propagation_rows,
-        &mut ws.propagated,
-    );
-    #[cfg(not(feature = "parallel"))]
     propagate_correspondences_into(
         prev_disparity,
         ws.flow_left.flow(),
         ws.flow_right.flow(),
+        &mut ws.propagation_rows,
         &mut ws.propagated,
     );
     ws.tracer.exit(propagate_span);
@@ -601,88 +593,57 @@ fn apply_writes_into(
 }
 
 /// Moves every correspondence pair of `prev_disparity` along the left/right
-/// motion fields and rebuilds a disparity map registered to the new left
-/// frame.  Pixels that receive no propagated correspondence (disocclusions,
-/// pixels that moved out of the frame) are filled from their horizontal
-/// neighbours.
+/// motion fields and rebuilds, into the reusable `out`, a disparity map
+/// registered to the new left frame.  Pixels that receive no propagated
+/// correspondence (disocclusions, pixels that moved out of the frame) are
+/// filled from their horizontal neighbours.
 ///
 /// Source rows are independent until the final scatter, so the `parallel`
-/// build computes the flow sampling and target positions row-parallel and
-/// then applies the writes serially in source-row order; the result is
-/// identical to [`propagate_correspondences_serial`] (asserted by a
-/// differential test).
-pub fn propagate_correspondences(
-    prev_disparity: &DisparityMap,
-    flow_left: &FlowField,
-    flow_right: &FlowField,
-) -> DisparityMap {
-    let mut out = DisparityMap::invalid(0, 0);
-    propagate_correspondences_into(prev_disparity, flow_left, flow_right, &mut out);
-    out
-}
-
-/// [`propagate_correspondences`] writing into a reusable output map
-/// (identical values, no allocation in the sequential build once the map is
-/// warm).
-#[cfg(feature = "parallel")]
+/// build computes each row's write list row-parallel into the
+/// caller-retained `rows` and then applies the writes serially in
+/// source-row order (the overwrite semantics of the serial double loop);
+/// the sequential build runs that double loop and leaves `rows` untouched.
+/// Either way the result is identical to
+/// [`propagate_correspondences_serial`] (asserted by a differential test),
+/// and a warm call performs no allocation.
 pub fn propagate_correspondences_into(
-    prev_disparity: &DisparityMap,
-    flow_left: &FlowField,
-    flow_right: &FlowField,
-    out: &mut DisparityMap,
-) {
-    let mut rows = Vec::new(); // lint: alloc-ok(compat wrapper; streaming uses the pooled variant)
-    propagate_correspondences_pooled(prev_disparity, flow_left, flow_right, &mut rows, out);
-}
-
-/// [`propagate_correspondences_into`] with caller-retained per-row write
-/// lists: the steady-state streaming hot path performs no allocation.  The
-/// write lists are computed row-parallel, each row zipped with its own
-/// retained buffer, then applied serially in source-row order (identical
-/// overwrite semantics to the serial reference).
-#[cfg(feature = "parallel")]
-pub fn propagate_correspondences_pooled(
     prev_disparity: &DisparityMap,
     flow_left: &FlowField,
     flow_right: &FlowField,
     rows: &mut Vec<Vec<(usize, usize, f32)>>,
     out: &mut DisparityMap,
 ) {
-    use rayon::prelude::*;
-    let width = prev_disparity.width();
-    let height = prev_disparity.height();
-    if rows.len() < height {
-        rows.resize_with(height, Vec::new);
+    #[cfg(feature = "parallel")]
+    {
+        use rayon::prelude::*;
+        let width = prev_disparity.width();
+        let height = prev_disparity.height();
+        if rows.len() < height {
+            rows.resize_with(height, Vec::new);
+        }
+        for row in &mut rows[..height] {
+            // A source row emits at most one write per column; growing up
+            // front keeps the parallel fill allocation-free.
+            row.clear();
+            row.reserve(width);
+        }
+        rows[..height]
+            .par_chunks_mut(1)
+            .enumerate()
+            .for_each(|(y, row)| {
+                row_writes_into(prev_disparity, flow_left, flow_right, y, &mut row[0]);
+            });
+        apply_writes_into(width, height, &rows[..height], out);
     }
-    for row in &mut rows[..height] {
-        // A source row emits at most one write per column; growing up front
-        // keeps the parallel fill allocation-free.
-        row.clear();
-        row.reserve(width);
+    #[cfg(not(feature = "parallel"))]
+    {
+        let _ = rows;
+        propagate_serial_into(prev_disparity, flow_left, flow_right, out);
     }
-    rows[..height]
-        .par_chunks_mut(1)
-        .enumerate()
-        .for_each(|(y, row)| {
-            row_writes_into(prev_disparity, flow_left, flow_right, y, &mut row[0]);
-        });
-    apply_writes_into(width, height, &rows[..height], out);
-}
-
-/// Sequential build of [`propagate_correspondences_into`]: the same plain
-/// double loop as the serial reference, writing into the reusable map.
-#[cfg(not(feature = "parallel"))]
-pub fn propagate_correspondences_into(
-    prev_disparity: &DisparityMap,
-    flow_left: &FlowField,
-    flow_right: &FlowField,
-    out: &mut DisparityMap,
-) {
-    propagate_serial_into(prev_disparity, flow_left, flow_right, out);
 }
 
 /// Serial reference implementation of correspondence propagation: the plain
-/// double loop, deliberately *not* built from [`row_writes`]/
+/// double loop, deliberately *not* built from `row_writes_into` /
 /// `apply_writes_into` so the differential test compares two independent
 /// implementations.  Compiled in every configuration.
 pub fn propagate_correspondences_serial(
@@ -861,6 +822,13 @@ mod tests {
         );
     }
 
+    /// The streaming propagation with fresh buffers.
+    fn propagate(prev: &DisparityMap, fl: &FlowField, fr: &FlowField) -> DisparityMap {
+        let mut out = DisparityMap::invalid(0, 0);
+        propagate_correspondences_into(prev, fl, fr, &mut Vec::new(), &mut out);
+        out
+    }
+
     #[test]
     fn propagation_shifts_disparities_with_motion() {
         // A synthetic correspondence field moved by constant flow: disparities
@@ -868,11 +836,11 @@ mod tests {
         let prev = DisparityMap::constant(16, 8, 5.0);
         let flow_l = FlowField::constant(16, 8, 2.0, 0.0);
         let flow_r = FlowField::constant(16, 8, 2.0, 0.0);
-        let propagated = propagate_correspondences(&prev, &flow_l, &flow_r);
+        let propagated = propagate(&prev, &flow_l, &flow_r);
         assert_eq!(propagated.get(10, 4), Some(5.0));
         // If the right view moves less than the left, disparity grows.
         let flow_r_slow = FlowField::constant(16, 8, 1.0, 0.0);
-        let propagated = propagate_correspondences(&prev, &flow_l, &flow_r_slow);
+        let propagated = propagate(&prev, &flow_l, &flow_r_slow);
         assert_eq!(propagated.get(10, 4), Some(6.0));
     }
 
@@ -881,19 +849,24 @@ mod tests {
         let mut prev = DisparityMap::constant(16, 8, 4.0);
         prev.invalidate(0, 0);
         let zero = FlowField::zeros(16, 8);
-        let propagated = propagate_correspondences(&prev, &zero, &zero);
+        let propagated = propagate(&prev, &zero, &zero);
         // Every pixel valid after horizontal filling.
         assert_eq!(propagated.valid_fraction(), 1.0);
     }
 
     #[test]
     fn parallel_propagation_matches_serial_reference() {
-        // Differential test: the row-parallel scatter must reproduce the
+        // Differential test: the propagation `step_with` runs (the
+        // row-parallel scatter in the parallel build) must reproduce the
         // serial double loop exactly, including the overwrite order when two
         // source pixels land on the same target.
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(77);
+        // Retained across iterations, as the workspace retains it across
+        // frames, so shrinking and growing maps reuse stale row lists.
+        let mut rows = Vec::new();
+        let mut fast = DisparityMap::invalid(0, 0);
         for _ in 0..8 {
             let width = rng.gen_range(8usize..24);
             let height = rng.gen_range(6usize..16);
@@ -922,7 +895,7 @@ mod tests {
                     );
                 }
             }
-            let fast = propagate_correspondences(&prev, &fl, &fr);
+            propagate_correspondences_into(&prev, &fl, &fr, &mut rows, &mut fast);
             let reference = propagate_correspondences_serial(&prev, &fl, &fr);
             assert_eq!(fast, reference);
         }

@@ -40,8 +40,8 @@ pub struct Workspace {
     /// estimate.
     pub(crate) median_scratch: Vec<f32>,
     /// Per-source-row write lists of the parallel correspondence
-    /// propagation, retained across frames.
-    #[cfg(feature = "parallel")]
+    /// propagation, retained across frames (never grown in the sequential
+    /// build).
     pub(crate) propagation_rows: Vec<Vec<(usize, usize, f32)>>,
     /// Per-stage span recorder: every [`IsmState::step_with`] call traces
     /// its pipeline stages here (ring-buffered per session, governed by
@@ -74,7 +74,6 @@ impl Workspace {
             propagated: DisparityMap::invalid(0, 0),
             maps: BufferPool::new(),
             median_scratch: Vec::new(),
-            #[cfg(feature = "parallel")]
             propagation_rows: Vec::new(),
             tracer: Tracer::new(trace),
         }
@@ -102,7 +101,6 @@ impl Workspace {
     /// workspaces and the propagation buffers.  Useful for capacity-planning
     /// many concurrent sessions.
     pub fn retained_bytes(&self) -> usize {
-        #[cfg(feature = "parallel")]
         let propagation_rows = self.propagation_rows.capacity()
             * std::mem::size_of::<Vec<(usize, usize, f32)>>()
             + self
@@ -110,8 +108,6 @@ impl Workspace {
                 .iter()
                 .map(|row| row.capacity() * std::mem::size_of::<(usize, usize, f32)>())
                 .sum::<usize>();
-        #[cfg(not(feature = "parallel"))]
-        let propagation_rows = 0;
         self.maps.retained_bytes()
             + self.stereo.retained_bytes()
             + self.flow_left.retained_bytes()

@@ -1,9 +1,9 @@
-//! Criterion benchmark of the frame wire format: encode and decode
-//! throughput at streaming frame sizes, with a warm buffer pool so the
-//! numbers reflect the zero-allocation steady state the server runs in.
+//! Criterion benchmark of the frame wire format: encode, and the server's
+//! decode — `validate_message` plus `fill_planes` into recycled planes — at
+//! streaming frame sizes, so the numbers reflect the zero-allocation steady
+//! state the server runs in.
 
 use asv_image::Image;
-use asv_mem::BufferPool;
 use asv_runtime::wire;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -37,23 +37,25 @@ fn bench_wire(c: &mut Criterion) {
         .expect("valid frame encodes");
 
     group.bench_function("validate_128x96", |b| {
-        b.iter(|| black_box(wire::validate(&encoded, wire::MAX_MESSAGE_BYTES).is_ok()))
+        b.iter(|| black_box(wire::validate_message(&encoded, wire::MAX_MESSAGE_BYTES).is_ok()))
     });
 
-    group.bench_function("decode_warm_pool_128x96", |b| {
-        let mut pool = BufferPool::new();
-        // Warm the pool so the loop measures the allocation-free path.
-        let warm = wire::decode_frame(&encoded, wire::MAX_MESSAGE_BYTES, &mut pool)
-            .expect("valid frame decodes");
-        pool.put(warm.left.into_vec());
-        pool.put(warm.right.into_vec());
+    group.bench_function("decode_recycled_planes_128x96", |b| {
+        // The server fills planes its sink recycles from the session; two
+        // reused images stand in for them.
+        let mut dst_left = Image::zeros(WIDTH, HEIGHT);
+        let mut dst_right = Image::zeros(WIDTH, HEIGHT);
         b.iter(|| {
-            let frame = wire::decode_frame(&encoded, wire::MAX_MESSAGE_BYTES, &mut pool)
-                .expect("valid frame decodes");
-            let checksum = frame.left.as_slice()[0] + frame.right.as_slice()[0];
-            pool.put(frame.left.into_vec());
-            pool.put(frame.right.into_vec());
-            black_box(checksum)
+            let wire::Message::Frame(frame) =
+                wire::validate_message(&encoded, wire::MAX_MESSAGE_BYTES)
+                    .expect("valid frame validates")
+            else {
+                panic!("an encoded frame validates as a frame");
+            };
+            frame
+                .fill_planes(&mut dst_left, &mut dst_right)
+                .expect("planes match the header");
+            black_box(dst_left.as_slice()[0] + dst_right.as_slice()[0])
         })
     });
 

@@ -362,8 +362,8 @@ pub fn schedule_cache_clear() {
 /// latency ties in favour of less DRAM traffic.
 ///
 /// Results are memoized per (workload shape, hardware) key — see
-/// [`schedule_cache`] — so repeated layers and repeated experiment sweeps pay
-/// for the search once per process.
+/// [`schedule_cache_len`] and [`schedule_cache_clear`] — so repeated layers
+/// and repeated experiment sweeps pay for the search once per process.
 ///
 /// Returns the chosen schedule and its cost.
 pub fn optimized_schedule(workload: &LayerWorkload, hw: &HwConfig) -> (LayerSchedule, LayerCost) {

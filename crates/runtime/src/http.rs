@@ -3,7 +3,7 @@
 //!
 //! [`MetricsServer`] serves three read-only routes from any
 //! [`HttpMetricsSource`] (typically a [`ClusterObserver`] or a single
-//! [`SchedulerObserver`](crate::SchedulerObserver)):
+//! [`SchedulerObserver`]):
 //!
 //! | Route          | Body                                                   |
 //! |----------------|--------------------------------------------------------|

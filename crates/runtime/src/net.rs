@@ -58,11 +58,11 @@ const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(50);
 /// `value` is the frame's sequence number — or, for a hello reply
 /// (`ACK_EXPECTED`), the next sequence number the server expects.
 const ACK_MAGIC: u8 = b'K';
-const ACK_BYTES: usize = 10;
-const ACK_ACCEPTED: u8 = 0;
-const ACK_DUPLICATE: u8 = 1;
-const ACK_GAP: u8 = 2;
-const ACK_ERROR: u8 = 3;
+pub(crate) const ACK_BYTES: usize = 10;
+pub(crate) const ACK_ACCEPTED: u8 = 0;
+pub(crate) const ACK_DUPLICATE: u8 = 1;
+pub(crate) const ACK_GAP: u8 = 2;
+pub(crate) const ACK_ERROR: u8 = 3;
 const ACK_EXPECTED: u8 = 4;
 
 /// Why a transport operation failed; the `kind` label of
@@ -366,7 +366,7 @@ impl SequenceGate {
         let slot = {
             let map = lock(&self.inner);
             match map.sessions.get(key) {
-                Some(entry) => Arc::clone(&entry.slot),
+                Some(entry) => Arc::clone(&entry.slot), // lint: alloc-ok(Arc refcount bump, no heap alloc)
                 None => return 0,
             }
         };
@@ -735,62 +735,85 @@ fn handle_connection(
             }
             ReadOutcome::Data => {}
         }
-        let parsed = match wire::validate_message(&message, config.max_message_bytes) {
-            Ok(parsed) => parsed,
-            Err(AsvError::Wire { fault, .. }) => {
-                counters.record(TransportErrorKind::of_wire(fault));
-                return;
-            }
-            Err(_) => {
-                counters.record(TransportErrorKind::Io);
-                return;
-            }
+        let Some(ack) = receive_message(&message, config.max_message_bytes, sink, gate, counters)
+        else {
+            return;
         };
-        let (status, value) = match parsed {
-            // Session-resume hello: report the committed expected sequence
-            // so a restarted producer picks up where the session stands.
-            wire::Message::Hello { key } => (ACK_EXPECTED, gate.expected(key)),
-            wire::Message::Frame(frame) => {
-                // Admission and delivery run under the session's slot lock:
-                // racing connections serialize, and the sequence advances
-                // only once the sink has accepted the frame.  Delivery may
-                // block — that is the backpressure path, and the client's
-                // unsent frames queue in the TCP window.
-                let admit = gate.admit(frame.key, frame.seq, || {
-                    let mut left = sink.recycled_frame(frame.key, frame.width, frame.height);
-                    let mut right = sink.recycled_frame(frame.key, frame.width, frame.height);
-                    match frame.fill_planes(&mut left, &mut right) {
-                        Ok(()) => sink
-                            .deliver(frame.key, frame.seq, left, right)
-                            .map_err(|_| ()),
-                        Err(AsvError::Wire { fault, .. }) => {
-                            counters.record(TransportErrorKind::of_wire(fault));
-                            Err(())
-                        }
-                        Err(_) => Err(()),
-                    }
-                });
-                let status = match admit {
-                    Admit::Delivered => ACK_ACCEPTED,
-                    Admit::Failed => ACK_ERROR,
-                    Admit::Duplicate => ACK_DUPLICATE,
-                    Admit::Gap { .. } => {
-                        counters.record(TransportErrorKind::Gap);
-                        ACK_GAP
-                    }
-                };
-                (status, frame.seq)
-            }
-        };
-        let mut ack = [0u8; ACK_BYTES];
-        ack[0] = ACK_MAGIC;
-        ack[1] = status;
-        ack[2..].copy_from_slice(&value.to_le_bytes());
         if stream.write_all(&ack).is_err() {
             counters.record(TransportErrorKind::Io);
             return;
         }
     }
+}
+
+/// The server's per-message receive path, shared by every connection and by
+/// the chaos sim ([`crate::sim::run_chaos_transport_sim`]): validates one
+/// complete message (length prefix included), answers a hello with the
+/// session's committed expected sequence, and runs a frame through the
+/// sequence gate into `sink` — recycled planes, [`wire::FrameRef::fill_planes`],
+/// [`FrameSink::deliver`] — counting every fault in `counters`.
+///
+/// Returns the ack record to send back, or `None` when the message failed
+/// validation (counted) and the connection must be dropped.
+pub(crate) fn receive_message(
+    message: &[u8],
+    max_message_bytes: usize,
+    sink: &dyn FrameSink,
+    gate: &SequenceGate,
+    counters: &TransportCounters,
+) -> Option<[u8; ACK_BYTES]> {
+    let parsed = match wire::validate_message(message, max_message_bytes) {
+        Ok(parsed) => parsed,
+        Err(AsvError::Wire { fault, .. }) => {
+            counters.record(TransportErrorKind::of_wire(fault));
+            return None;
+        }
+        Err(_) => {
+            counters.record(TransportErrorKind::Io);
+            return None;
+        }
+    };
+    let (status, value) = match parsed {
+        // Session-resume hello: report the committed expected sequence so a
+        // restarted producer picks up where the session stands.
+        wire::Message::Hello { key } => (ACK_EXPECTED, gate.expected(key)),
+        wire::Message::Frame(frame) => {
+            // Admission and delivery run under the session's slot lock:
+            // racing connections serialize, and the sequence advances only
+            // once the sink has accepted the frame.  Delivery may block —
+            // that is the backpressure path, and the client's unsent frames
+            // queue in the TCP window.
+            let admit = gate.admit(frame.key, frame.seq, || {
+                let mut left = sink.recycled_frame(frame.key, frame.width, frame.height);
+                let mut right = sink.recycled_frame(frame.key, frame.width, frame.height);
+                match frame.fill_planes(&mut left, &mut right) {
+                    Ok(()) => sink
+                        .deliver(frame.key, frame.seq, left, right)
+                        .map_err(|_| ()),
+                    Err(AsvError::Wire { fault, .. }) => {
+                        counters.record(TransportErrorKind::of_wire(fault));
+                        Err(())
+                    }
+                    Err(_) => Err(()),
+                }
+            });
+            let status = match admit {
+                Admit::Delivered => ACK_ACCEPTED,
+                Admit::Failed => ACK_ERROR,
+                Admit::Duplicate => ACK_DUPLICATE,
+                Admit::Gap { .. } => {
+                    counters.record(TransportErrorKind::Gap);
+                    ACK_GAP
+                }
+            };
+            (status, frame.seq)
+        }
+    };
+    let mut ack = [0u8; ACK_BYTES];
+    ack[0] = ACK_MAGIC;
+    ack[1] = status;
+    ack[2..].copy_from_slice(&value.to_le_bytes());
+    Some(ack)
 }
 
 /// The camera-side sender: frames go out with per-session sequence numbers
@@ -1139,6 +1162,64 @@ mod tests {
         assert_eq!(retransmit, Admit::Duplicate, "deduplicated after commit");
         assert_eq!(next, Admit::Delivered);
         assert_eq!(*lock(&order), vec![0, 1], "sequence order preserved");
+    }
+
+    /// A sink whose recycled planes are one column too wide until `sized`
+    /// is set; records the sequence numbers it was handed.
+    #[derive(Default)]
+    struct MisSizedSink {
+        sized: AtomicBool,
+        delivered: Mutex<Vec<u64>>,
+    }
+
+    impl FrameSink for MisSizedSink {
+        fn deliver(
+            &self,
+            _key: &str,
+            seq: u64,
+            _left: Image,
+            _right: Image,
+        ) -> Result<(), AsvError> {
+            lock(&self.delivered).push(seq);
+            Ok(())
+        }
+
+        fn recycled_frame(&self, _key: &str, width: usize, height: usize) -> Image {
+            let extra = usize::from(!self.sized.load(Ordering::Relaxed));
+            Image::zeros(width + extra, height)
+        }
+    }
+
+    /// The receive path's `fill_planes` fault branch: the fault is counted,
+    /// the frame is acked as an error and the sequence does not advance, so
+    /// the retransmission into correctly sized planes is delivered.
+    #[test]
+    fn fill_planes_fault_is_counted_and_acked_as_an_error() {
+        let sink = MisSizedSink::default();
+        let gate = SequenceGate::new();
+        let counters = TransportCounters::new();
+        let plane = Image::zeros(4, 3);
+        let mut bytes = Vec::new();
+        wire::encode_frame_into(&mut bytes, "cam", 0, &plane, &plane).unwrap();
+        let receive = || {
+            receive_message(&bytes, wire::MAX_MESSAGE_BYTES, &sink, &gate, &counters)
+                .expect("a valid message is acked")
+        };
+
+        let ack = receive();
+        assert_eq!(ack[1], ACK_ERROR);
+        assert_eq!(counters.count(TransportErrorKind::Length), 1);
+        assert_eq!(counters.total(), 1);
+        assert_eq!(gate.expected("cam"), 0, "a failed fill must not advance");
+        assert!(lock(&sink.delivered).is_empty());
+
+        sink.sized.store(true, Ordering::Relaxed);
+        let ack = receive();
+        assert_eq!(ack[1], ACK_ACCEPTED);
+        assert_eq!(ack[2..], 0u64.to_le_bytes());
+        assert_eq!(gate.expected("cam"), 1);
+        assert_eq!(*lock(&sink.delivered), vec![0]);
+        assert_eq!(counters.total(), 1, "the delivery counted no new fault");
     }
 
     /// Hostile or churny key sets cannot grow the gate without bound: the

@@ -19,14 +19,21 @@
 //!   [`IsmPipeline::process_sequence`] and against a single
 //!   [`crate::Scheduler`].
 //!
-//! CI runs this in both feature configurations; see
-//! `crates/runtime/tests/cluster.rs`.
+//! [`run_chaos_transport_sim`] (a lossy link into the server's own receive
+//! path) and [`run_failover_sim`] (a shard killed mid-stream) build on the
+//! same seeded workload and the same byte-identity verifier.
+//! [`run_overload_sim`] is apart: a virtual-time cost model of the
+//! scheduler that runs no real stage.
+//!
+//! CI runs these in both feature configurations; see
+//! `crates/runtime/tests/{cluster,failover,qos}.rs`.
 
-use crate::cluster::{Cluster, ClusterConfig};
-use crate::net::{Admit, FrameSink, SequenceGate, TransportCounters, TransportErrorKind};
+use crate::cluster::{Cluster, ClusterConfig, ClusterReport};
+use crate::net::{self, SequenceGate};
 use crate::qos::{QosAction, QosConfig, QosController, QosKnobs, SessionSlo};
 use crate::scheduler::{SchedulerConfig, ShedPolicy};
 use crate::serve::serve_sequences;
+use crate::session::SessionReport;
 use crate::supervisor::{Delivery, MigrationRecord, Supervisor};
 use crate::wire;
 use asv::ism::{FrameResult, IsmPipeline, IsmResult, KeyFramePolicy};
@@ -170,47 +177,183 @@ impl SimReport {
     }
 }
 
-/// Compares one session's streamed frames against the batch baseline,
-/// recording any divergence.
-fn compare_session(
-    label: &str,
-    expected: &IsmResult,
-    actual: &[FrameResult],
-    frames_compared: &mut u64,
-    mismatches: &mut Vec<String>,
-) {
-    if expected.frames.len() != actual.len() {
-        mismatches.push(format!(
-            "{label}: {} frames, batch produced {}",
-            actual.len(),
-            expected.frames.len()
-        ));
-        return;
-    }
-    compare_frames(label, &expected.frames, actual, frames_compared, mismatches);
+/// The seeded input every real-stack sim shares: the streams, their batch
+/// baseline (the ground truth everything must match) and the shard
+/// configuration.
+struct Workload {
+    streams: Vec<StereoSequence>,
+    batch: Vec<IsmResult>,
+    shard_config: SchedulerConfig,
 }
 
-/// Byte-compares streamed frames against reference frames position by
-/// position (the caller already aligned and length-checked the slices).
-fn compare_frames(
-    label: &str,
-    expected: &[FrameResult],
-    actual: &[FrameResult],
-    frames_compared: &mut u64,
-    mismatches: &mut Vec<String>,
-) {
-    for (frame, (e, a)) in expected.iter().zip(actual).enumerate() {
-        *frames_compared += 1;
-        if e.kind != a.kind {
-            mismatches.push(format!(
-                "{label} frame {frame}: kind {:?}, batch {:?}",
-                a.kind, e.kind
-            ));
+impl Workload {
+    fn new(pipeline: &IsmPipeline, config: &SimConfig) -> Result<Self, AsvError> {
+        let streams = generate_streams(config);
+        let batch = streams
+            .iter()
+            .map(|s| pipeline.process_sequence(s))
+            .collect::<Result<_, _>>()?;
+        Ok(Self {
+            streams,
+            batch,
+            // Lossless backpressure: determinism requires that no frame is
+            // shed.
+            shard_config: SchedulerConfig {
+                workers: config.workers_per_shard.max(1),
+                inbox_capacity: config.inbox_capacity,
+                shed_policy: ShedPolicy::Block,
+            },
+        })
+    }
+
+    fn cluster(&self, shards: usize) -> Cluster {
+        Cluster::new(ClusterConfig::new(shards).with_shard_config(self.shard_config))
+    }
+}
+
+/// A session the failover sim migrated: frame `at` observed the kill of
+/// shard `from` and became the re-key frame of a new incarnation on `to`.
+#[derive(Debug, Clone, Copy)]
+struct Rekey {
+    at: usize,
+    from: usize,
+    to: usize,
+}
+
+/// What a sim's byte-identity check found.
+#[derive(Debug, Default)]
+struct Verdict {
+    frames_compared: u64,
+    mismatches: Vec<String>,
+}
+
+impl Verdict {
+    /// Checks every session of `workload` in a finished cluster against its
+    /// batch baseline.  A session listed in `rekeys` is checked as a dead
+    /// incarnation that processed a prefix of its stream plus a fresh run
+    /// from the re-key frame.
+    fn verify(
+        &mut self,
+        label: &str,
+        pipeline: &IsmPipeline,
+        workload: &Workload,
+        report: &ClusterReport,
+        rekeys: &[Option<Rekey>],
+    ) -> Result<(), AsvError> {
+        for (i, (stream, batch)) in workload.streams.iter().zip(&workload.batch).enumerate() {
+            let key = session_key(i);
+            let on_shard = |shard: usize| {
+                report.shards[shard]
+                    .sessions
+                    .iter()
+                    .find(|s| s.label.as_deref() == Some(key.as_str()))
+            };
+            match rekeys.get(i).copied().flatten() {
+                None => self.check(
+                    &format!("{label} {key}"),
+                    report.session_by_key(&key),
+                    &batch.frames,
+                    false,
+                ),
+                Some(Rekey { at, from, to }) => {
+                    self.check(
+                        &format!("{label} dead-shard {key}"),
+                        on_shard(from),
+                        &batch.frames[..at],
+                        true,
+                    );
+                    let mut state = pipeline.state();
+                    let fresh = stream.frames()[at..]
+                        .iter()
+                        .map(|frame| state.step(&frame.left, &frame.right))
+                        .collect::<Result<Vec<_>, _>>()?;
+                    self.check(
+                        &format!("{label} re-keyed {key}"),
+                        on_shard(to),
+                        &fresh,
+                        false,
+                    );
+                }
+            }
         }
-        if e.disparity != a.disparity {
-            mismatches.push(format!(
-                "{label} frame {frame}: disparity diverges from batch"
+        Ok(())
+    }
+
+    /// Checks one session incarnation: present, without a stored error
+    /// (unless it is a dead incarnation, which `prefix` marks and which may
+    /// stop short of `expected`), and byte-identical frame by frame.
+    fn check(
+        &mut self,
+        label: &str,
+        session: Option<&SessionReport>,
+        expected: &[FrameResult],
+        prefix: bool,
+    ) {
+        let Some(session) = session else {
+            self.mismatches
+                .push(format!("{label}: session missing from report"));
+            return;
+        };
+        if let Some(error) = session.error.as_ref().filter(|_| !prefix) {
+            self.mismatches
+                .push(format!("{label}: session failed: {error}"));
+        }
+        self.check_frames(label, expected, &session.frames, prefix);
+    }
+
+    /// Byte-compares `actual` against `expected` position by position: the
+    /// frame count must match (or, for a `prefix`, not exceed it), and each
+    /// frame's kind and disparity must be identical.
+    fn check_frames(
+        &mut self,
+        label: &str,
+        expected: &[FrameResult],
+        actual: &[FrameResult],
+        prefix: bool,
+    ) {
+        if actual.len() > expected.len() || (!prefix && actual.len() != expected.len()) {
+            self.mismatches.push(format!(
+                "{label}: {} frames, expected {}",
+                actual.len(),
+                expected.len()
             ));
+            return;
+        }
+        for (frame, (e, a)) in expected.iter().zip(actual).enumerate() {
+            self.frames_compared += 1;
+            if e.kind != a.kind {
+                self.mismatches.push(format!(
+                    "{label} frame {frame}: kind {:?}, batch {:?}",
+                    a.kind, e.kind
+                ));
+            }
+            if e.disparity != a.disparity {
+                self.mismatches.push(format!(
+                    "{label} frame {frame}: disparity diverges from batch"
+                ));
+            }
+        }
+    }
+
+    /// Records a mismatch unless the receive path refused a message the
+    /// link mangled, sent early or sent twice: no ack (validation failed)
+    /// or a gap ack, and for a `retransmission` also a duplicate ack.
+    fn refused(
+        &mut self,
+        status: Option<u8>,
+        retransmission: bool,
+        key: &str,
+        seq: u64,
+        what: &str,
+    ) {
+        let refused = match status {
+            None | Some(net::ACK_GAP) => true,
+            Some(net::ACK_DUPLICATE) => retransmission,
+            Some(_) => false,
+        };
+        if !refused {
+            self.mismatches
+                .push(format!("{key} seq {seq}: {what} was accepted"));
         }
     }
 }
@@ -232,38 +375,19 @@ pub fn run_cluster_sim(
     config: &SimConfig,
     shard_counts: &[usize],
 ) -> Result<SimReport, AsvError> {
-    let streams = generate_streams(config);
-    let mut frames_compared = 0u64;
-    let mut mismatches = Vec::new();
-
-    // (a) The batch baseline: the ground truth everything must match.
-    let batch: Vec<IsmResult> = streams
-        .iter()
-        .map(|s| pipeline.process_sequence(s))
-        .collect::<Result<_, _>>()?;
+    let workload = Workload::new(pipeline, config)?;
+    let mut verdict = Verdict::default();
 
     // (b) A single scheduler (the PR-2 serving path).
-    let shard_config = SchedulerConfig {
-        workers: config.workers_per_shard.max(1),
-        inbox_capacity: config.inbox_capacity,
-        shed_policy: ShedPolicy::Block,
-    };
-    let single = serve_sequences(pipeline, &streams, shard_config)?;
-    for (i, (expected, actual)) in batch.iter().zip(&single.results).enumerate() {
-        compare_session(
-            &format!("single-scheduler {}", session_key(i)),
-            expected,
-            &actual.frames,
-            &mut frames_compared,
-            &mut mismatches,
-        );
+    let single = serve_sequences(pipeline, &workload.streams, workload.shard_config)?;
+    for (i, (expected, actual)) in workload.batch.iter().zip(&single.results).enumerate() {
+        let label = format!("single-scheduler {}", session_key(i));
+        verdict.check_frames(&label, &expected.frames, &actual.frames, false);
     }
 
     // (c) The full stack at every requested shard count.
     for &shards in shard_counts {
-        // Lossless backpressure (`Block`, in `shard_config`): determinism
-        // requires that no frame is shed.
-        let cluster = Cluster::new(ClusterConfig::new(shards).with_shard_config(shard_config));
+        let cluster = workload.cluster(shards);
         let sessions: Vec<_> = (0..config.sessions)
             .map(|i| cluster.add_session(&session_key(i), pipeline.state()))
             .collect::<Result<_, _>>()?;
@@ -287,7 +411,7 @@ pub fn run_cluster_sim(
 
         let feed_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
-            for (i, (session, stream)) in sessions.iter().zip(&streams).enumerate() {
+            for (i, (session, stream)) in sessions.iter().zip(&workload.streams).enumerate() {
                 let delays = &jitter[i];
                 let feed_errors = &feed_errors;
                 scope.spawn(move || {
@@ -308,38 +432,25 @@ pub fn run_cluster_sim(
         });
         drop(sessions);
         let report = cluster.join();
-        mismatches.extend(
+        verdict.mismatches.extend(
             feed_errors
                 .into_inner()
                 .expect("sim feed-error lock poisoned"),
         );
-
-        for (i, expected) in batch.iter().enumerate() {
-            let key = session_key(i);
-            let label = format!("{shards}-shard cluster {key}");
-            match report.session_by_key(&key) {
-                Some(session) => {
-                    if let Some(error) = &session.error {
-                        mismatches.push(format!("{label}: session failed: {error}"));
-                    }
-                    compare_session(
-                        &label,
-                        expected,
-                        &session.frames,
-                        &mut frames_compared,
-                        &mut mismatches,
-                    );
-                }
-                None => mismatches.push(format!("{label}: session missing from report")),
-            }
-        }
+        verdict.verify(
+            &format!("{shards}-shard cluster"),
+            pipeline,
+            &workload,
+            &report,
+            &[],
+        )?;
     }
 
     Ok(SimReport {
         shard_counts: shard_counts.to_vec(),
         sessions: config.sessions,
-        frames_compared,
-        mismatches,
+        frames_compared: verdict.frames_compared,
+        mismatches: verdict.mismatches,
     })
 }
 
@@ -716,72 +827,14 @@ impl ChaosReport {
     }
 }
 
-/// What the simulated receiver did with one delivered message; mirrors the
-/// accept/duplicate/reject split of the real TCP server's ack protocol.
-enum Receipt {
-    /// Validated, in order, delivered to the session: acknowledged.
-    Accepted,
-    /// A retransmission of an already-delivered frame: acknowledged
-    /// without re-delivery.
-    Duplicate,
-    /// Rejected (decode fault or sequence gap): the sender must retry.
-    Rejected,
-}
-
-/// The receive path of the chaos sim — the same validate → dedup → deliver
-/// pipeline as [`crate::FrameServer`], minus the socket.
-fn chaos_receive(
-    bytes: &[u8],
-    gate: &SequenceGate,
-    counters: &TransportCounters,
-    supervisor: &Supervisor,
-) -> Result<Receipt, AsvError> {
-    let frame = match wire::validate(bytes, wire::MAX_MESSAGE_BYTES) {
-        Ok(frame) => frame,
-        Err(error) => {
-            if let AsvError::Wire { fault, .. } = &error {
-                counters.record(TransportErrorKind::of_wire(*fault));
-            }
-            return Ok(Receipt::Rejected);
-        }
-    };
-    let mut failure: Option<AsvError> = None;
-    let admit = gate.admit(frame.key, frame.seq, || {
-        let mut left = supervisor.recycled_frame(frame.key, frame.width, frame.height);
-        let mut right = supervisor.recycled_frame(frame.key, frame.width, frame.height);
-        if let Err(error) = frame.fill_planes(&mut left, &mut right) {
-            failure = Some(error);
-            return Err(());
-        }
-        match supervisor.submit(frame.key, left, right) {
-            Ok(_) => Ok(()),
-            Err(error) => {
-                failure = Some(error);
-                Err(())
-            }
-        }
-    });
-    match admit {
-        Admit::Delivered => Ok(Receipt::Accepted),
-        // The sim treats a pipeline failure as a hard error (the chaos
-        // link only injects transport faults, never sink failures).
-        Admit::Failed => Err(failure
-            .unwrap_or_else(|| AsvError::transport("chaos delivery failed without an error"))),
-        Admit::Duplicate => Ok(Receipt::Duplicate),
-        Admit::Gap { .. } => {
-            counters.record(TransportErrorKind::Gap);
-            Ok(Receipt::Rejected)
-        }
-    }
-}
-
 /// Runs the lossy-transport determinism experiment: every session's frames
 /// are wire-encoded and pushed through a seeded faulty link
-/// (drop/corrupt/truncate/duplicate/reorder) into the real receive pipeline
-/// — [`wire::validate`], a [`SequenceGate`], a [`Supervisor`]-fronted
-/// [`Cluster`] — with at-least-once retransmission until each frame is
-/// acknowledged.  Asserted downstream: every fault was counted, no session
-/// wedged, and every session's output is byte-identical to batch.
+/// (drop/corrupt/truncate/duplicate/reorder) into the [`crate::FrameServer`]'s
+/// own per-message receive path — validation, a [`SequenceGate`], a
+/// [`Supervisor`]-fronted [`Cluster`] as the [`crate::FrameSink`] — with
+/// at-least-once retransmission until each frame is acknowledged.  Asserted
+/// downstream: every fault was counted, no session wedged, and every
+/// session's output is byte-identical to batch.
 ///
 /// Fully deterministic for a given config: single-threaded link, seeded
 /// fault rolls.
@@ -795,25 +848,26 @@ pub fn run_chaos_transport_sim(
     config: &SimConfig,
     chaos: &ChaosConfig,
 ) -> Result<ChaosReport, AsvError> {
-    let streams = generate_streams(config);
-    let batch: Vec<IsmResult> = streams
-        .iter()
-        .map(|s| pipeline.process_sequence(s))
-        .collect::<Result<_, _>>()?;
-
-    let shard_config = SchedulerConfig {
-        workers: config.workers_per_shard.max(1),
-        inbox_capacity: config.inbox_capacity,
-        shed_policy: ShedPolicy::Block,
-    };
-    let cluster = Arc::new(Cluster::new(
-        ClusterConfig::new(1).with_shard_config(shard_config),
-    ));
+    let workload = Workload::new(pipeline, config)?;
+    let cluster = Arc::new(workload.cluster(1));
     let counters = cluster.transport_counters();
     let state_pipeline = pipeline.clone();
     let supervisor = Supervisor::new(Arc::clone(&cluster), move |_| state_pipeline.state());
-
     let gate = SequenceGate::new();
+    // The server's receive path minus the socket: the ack status, or `None`
+    // when validation refused the message.
+    let receive = |bytes: &[u8]| {
+        net::receive_message(
+            bytes,
+            wire::MAX_MESSAGE_BYTES,
+            &supervisor,
+            &gate,
+            &counters,
+        )
+        .map(|ack| ack[1])
+    };
+
+    let mut verdict = Verdict::default();
     let mut report = ChaosReport {
         frames_delivered: 0,
         frames_dropped: 0,
@@ -827,7 +881,7 @@ pub fn run_chaos_transport_sim(
         mismatches: Vec::new(),
     };
 
-    for (i, stream) in streams.iter().enumerate() {
+    for (i, stream) in workload.streams.iter().enumerate() {
         let key = session_key(i);
         let mut rng =
             SmallRng::seed_from_u64(chaos.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -855,28 +909,20 @@ pub fn run_chaos_transport_sim(
                     let mut mangled = bytes.clone();
                     let at = rng.gen_range(0..mangled.len());
                     mangled[at] ^= 0x41;
-                    if matches!(
-                        chaos_receive(&mangled, &gate, &counters, &supervisor)?,
-                        Receipt::Accepted | Receipt::Duplicate
-                    ) {
-                        report
-                            .mismatches
-                            .push(format!("{key} seq {seq}: corrupt message was accepted"));
-                    }
+                    verdict.refused(receive(&mangled), false, &key, seq, "corrupt message");
                     report.frames_corrupted += 1;
                     report.retransmissions += 1;
                     continue;
                 }
                 if roll < truncate_at {
                     let keep = rng.gen_range(4..bytes.len());
-                    if matches!(
-                        chaos_receive(&bytes[..keep], &gate, &counters, &supervisor)?,
-                        Receipt::Accepted | Receipt::Duplicate
-                    ) {
-                        report
-                            .mismatches
-                            .push(format!("{key} seq {seq}: truncated message was accepted"));
-                    }
+                    verdict.refused(
+                        receive(&bytes[..keep]),
+                        false,
+                        &key,
+                        seq,
+                        "truncated message",
+                    );
                     report.frames_truncated += 1;
                     report.retransmissions += 1;
                     continue;
@@ -886,39 +932,34 @@ pub fn run_chaos_transport_sim(
                     // one.  The gate must refuse it (gap), keeping it
                     // pending for in-order delivery later.
                     if let Some((ahead_seq, ahead)) = pending.front() {
-                        if matches!(
-                            chaos_receive(ahead, &gate, &counters, &supervisor)?,
-                            Receipt::Accepted | Receipt::Duplicate
-                        ) {
-                            report.mismatches.push(format!(
-                                "{key} seq {ahead_seq}: out-of-order message was accepted"
-                            ));
-                        }
+                        let what = "out-of-order message";
+                        verdict.refused(receive(ahead), false, &key, *ahead_seq, what);
                         report.frames_reordered += 1;
                     }
                 }
-                match chaos_receive(&bytes, &gate, &counters, &supervisor)? {
-                    Receipt::Accepted => report.frames_delivered += 1,
-                    Receipt::Duplicate => {}
-                    Receipt::Rejected => {
+                match receive(&bytes) {
+                    Some(net::ACK_ACCEPTED) => report.frames_delivered += 1,
+                    Some(net::ACK_DUPLICATE) => {}
+                    status => {
+                        // The link injects no sink faults, so a delivery
+                        // failure is a divergence; the sender retransmits
+                        // as a client does.
+                        if status == Some(net::ACK_ERROR) {
+                            verdict
+                                .mismatches
+                                .push(format!("{key} seq {seq}: delivery failed"));
+                        }
                         report.retransmissions += 1;
                         continue;
                     }
                 }
                 if roll >= 1000 - u32::from(chaos.duplicate_per_mille) {
-                    if matches!(
-                        chaos_receive(&bytes, &gate, &counters, &supervisor)?,
-                        Receipt::Accepted
-                    ) {
-                        report
-                            .mismatches
-                            .push(format!("{key} seq {seq}: duplicate was re-delivered"));
-                    }
+                    verdict.refused(receive(&bytes), true, &key, seq, "duplicate");
                     report.frames_duplicated += 1;
                 }
                 continue 'frames;
             }
-            report.mismatches.push(format!(
+            verdict.mismatches.push(format!(
                 "{key} seq {seq}: wedged after {} delivery attempts",
                 chaos.max_attempts
             ));
@@ -928,30 +969,9 @@ pub fn run_chaos_transport_sim(
     report.transport_errors = counters.total();
     supervisor.finish();
     let cluster = Arc::try_unwrap(cluster).expect("supervisor retained a cluster handle");
-    let outcome = cluster.join();
-    for (i, expected) in batch.iter().enumerate() {
-        let key = session_key(i);
-        let label = format!("chaos-transport {key}");
-        match outcome.session_by_key(&key) {
-            Some(session) => {
-                if let Some(error) = &session.error {
-                    report
-                        .mismatches
-                        .push(format!("{label}: session failed: {error}"));
-                }
-                compare_session(
-                    &label,
-                    expected,
-                    &session.frames,
-                    &mut report.frames_compared,
-                    &mut report.mismatches,
-                );
-            }
-            None => report
-                .mismatches
-                .push(format!("{label}: session missing from report")),
-        }
-    }
+    verdict.verify("chaos-transport", pipeline, &workload, &cluster.join(), &[])?;
+    report.frames_compared = verdict.frames_compared;
+    report.mismatches = verdict.mismatches;
     Ok(report)
 }
 
@@ -1032,43 +1052,27 @@ pub fn run_failover_sim(
     pipeline: &IsmPipeline,
     config: &FailoverConfig,
 ) -> Result<FailoverReport, AsvError> {
-    let streams = generate_streams(&config.sim);
-    let batch: Vec<IsmResult> = streams
-        .iter()
-        .map(|s| pipeline.process_sequence(s))
-        .collect::<Result<_, _>>()?;
-
-    let shard_config = SchedulerConfig {
-        workers: config.sim.workers_per_shard.max(1),
-        inbox_capacity: config.sim.inbox_capacity,
-        shed_policy: ShedPolicy::Block,
-    };
-    let cluster = Arc::new(Cluster::new(
-        ClusterConfig::new(config.shards.max(2)).with_shard_config(shard_config),
-    ));
+    let workload = Workload::new(pipeline, &config.sim)?;
+    let cluster = Arc::new(workload.cluster(config.shards.max(2)));
     let victim = config
         .victim
         .unwrap_or_else(|| cluster.shard_for_key(&session_key(0)));
     let state_pipeline = pipeline.clone();
     let supervisor = Supervisor::new(Arc::clone(&cluster), move |_| state_pipeline.state());
 
-    let sessions = config.sim.sessions;
-    let frames = config.sim.frames_per_session;
-    let mut migration_frame: Vec<Option<usize>> = vec![None; sessions];
+    let mut migration_frame: Vec<Option<usize>> = vec![None; config.sim.sessions];
     let mut wedged = Vec::new();
-    for f in 0..frames {
+    for f in 0..config.sim.frames_per_session {
         if f == config.kill_after.max(1) {
             cluster.trip_shard(victim, "failover sim kill");
         }
-        for (i, stream) in streams.iter().enumerate() {
+        for (i, stream) in workload.streams.iter().enumerate() {
             let frame = &stream.frames()[f];
             let key = session_key(i);
             match supervisor.submit(&key, frame.left.clone(), frame.right.clone()) {
                 Ok(Delivery::Delivered) => {}
                 Ok(Delivery::Migrated { .. }) => {
-                    if migration_frame[i].is_none() {
-                        migration_frame[i] = Some(f);
-                    }
+                    migration_frame[i].get_or_insert(f);
                 }
                 Err(error) => wedged.push(format!("{key} frame {f}: {error}")),
             }
@@ -1079,112 +1083,31 @@ pub fn run_failover_sim(
     supervisor.finish();
     let cluster = Arc::try_unwrap(cluster).expect("supervisor retained a cluster handle");
     let outcome = cluster.join();
-    let scrape = outcome.render_prometheus();
-
-    let mut frames_compared = 0u64;
-    let mut mismatches = Vec::new();
-    for (i, expected) in batch.iter().enumerate() {
-        let key = session_key(i);
-        match migration_frame[i] {
-            None => {
-                let label = format!("failover untouched {key}");
-                match outcome.session_by_key(&key) {
-                    Some(session) => {
-                        if let Some(error) = &session.error {
-                            mismatches.push(format!("{label}: session failed: {error}"));
-                        }
-                        compare_session(
-                            &label,
-                            expected,
-                            &session.frames,
-                            &mut frames_compared,
-                            &mut mismatches,
-                        );
-                    }
-                    None => mismatches.push(format!("{label}: session missing from report")),
-                }
-            }
-            Some(rekey) => {
-                // The dead incarnation: whatever prefix it processed before
-                // the kill must match the batch prefix byte for byte.
-                let old = outcome.shards[victim]
-                    .sessions
+    let rekeys: Vec<Option<Rekey>> = migration_frame
+        .iter()
+        .enumerate()
+        .map(|(i, at)| {
+            at.map(|at| Rekey {
+                at,
+                from: victim,
+                to: migrations
                     .iter()
-                    .find(|s| s.label.as_deref() == Some(key.as_str()));
-                match old {
-                    Some(session) => {
-                        if session.frames.len() > rekey {
-                            mismatches.push(format!(
-                                "failover dead-shard {key}: processed {} frames, only {rekey} \
-                                 were delivered before the kill",
-                                session.frames.len()
-                            ));
-                        } else {
-                            compare_frames(
-                                &format!("failover dead-shard {key}"),
-                                &expected.frames[..session.frames.len()],
-                                &session.frames,
-                                &mut frames_compared,
-                                &mut mismatches,
-                            );
-                        }
-                    }
-                    None => {
-                        mismatches.push(format!("failover dead-shard {key}: incarnation missing"))
-                    }
-                }
-                // The re-keyed incarnation: byte-identical to a fresh batch
-                // run over the post-migration frames.
-                let to = migrations
-                    .iter()
-                    .find(|m| m.key == key)
-                    .map(|m| m.to)
-                    .unwrap_or(victim);
-                let label = format!("failover re-keyed {key}");
-                let new = outcome.shards[to]
-                    .sessions
-                    .iter()
-                    .find(|s| s.label.as_deref() == Some(key.as_str()));
-                match new {
-                    Some(session) => {
-                        if let Some(error) = &session.error {
-                            mismatches.push(format!("{label}: session failed: {error}"));
-                        }
-                        let mut state = pipeline.state();
-                        let mut suffix = Vec::with_capacity(frames - rekey);
-                        for frame in &streams[i].frames()[rekey..] {
-                            suffix.push(state.step(&frame.left, &frame.right)?);
-                        }
-                        if suffix.len() != session.frames.len() {
-                            mismatches.push(format!(
-                                "{label}: {} frames, expected {} from the re-key point",
-                                session.frames.len(),
-                                suffix.len()
-                            ));
-                        } else {
-                            compare_frames(
-                                &label,
-                                &suffix,
-                                &session.frames,
-                                &mut frames_compared,
-                                &mut mismatches,
-                            );
-                        }
-                    }
-                    None => mismatches.push(format!("{label}: incarnation missing")),
-                }
-            }
-        }
-    }
+                    .find(|m| m.key == session_key(i))
+                    .map_or(victim, |m| m.to),
+            })
+        })
+        .collect();
+    let mut verdict = Verdict::default();
+    verdict.verify("failover", pipeline, &workload, &outcome, &rekeys)?;
 
     Ok(FailoverReport {
         victim,
         migrations,
         migration_frame,
-        frames_compared,
-        mismatches,
+        frames_compared: verdict.frames_compared,
+        mismatches: verdict.mismatches,
         wedged,
-        scrape,
+        scrape: outcome.render_prometheus(),
     })
 }
 

@@ -35,10 +35,11 @@
 //!   mismatches, invalid UTF-8 keys and inconsistent lengths are all errors,
 //!   never indexing faults.
 //! * **Allocation-free steady state.**  [`encode_frame_into`] reuses the
-//!   caller's buffer and [`decode_frame`] fills planes checked out of a
-//!   recycled [`BufferPool`], so a warm server decodes frames without
+//!   caller's buffer, [`validate_message`] borrows from the message, and
+//!   [`FrameRef::fill_planes`] writes into planes the server's sink recycles
+//!   from the target session, so a warm server decodes frames without
 //!   touching the heap (proven by the counting-allocator test in
-//!   `tests/wire.rs`).
+//!   `tests/zero_alloc.rs`).
 //! * **Whole-message integrity.**  The CRC covers the header fields as well
 //!   as the key and payload, so a bit flip anywhere after the length prefix
 //!   is caught — a flipped length prefix itself is caught by the internal
@@ -47,7 +48,6 @@
 use asv::error::WireFault;
 use asv::AsvError;
 use asv_image::Image;
-use asv_mem::BufferPool;
 
 /// The four magic bytes opening every message (after the length prefix).
 pub const MAGIC: [u8; 4] = *b"ASVF";
@@ -225,8 +225,8 @@ pub fn encode_hello_into(out: &mut Vec<u8>, key: &str) -> Result<(), AsvError> {
     Ok(())
 }
 
-/// A validated view into an encoded message: header fields plus borrowed
-/// plane bytes, produced by [`validate`] without touching the heap.
+/// A validated view into an encoded frame: header fields plus borrowed
+/// plane bytes, produced by [`validate_message`] without touching the heap.
 #[derive(Debug)]
 pub struct FrameRef<'a> {
     /// Session key routing this frame.
@@ -242,28 +242,12 @@ pub struct FrameRef<'a> {
 }
 
 impl FrameRef<'_> {
-    /// Deserializes the two planes into `data` buffers of exactly
-    /// `width * height` elements (checked), little-endian.
+    /// Deserializes one little-endian plane into `data`, which the caller
+    /// checked holds exactly `width * height` elements.
     fn fill_plane(bytes: &[u8], data: &mut [f32]) {
         for (dst, raw) in data.iter_mut().zip(bytes.chunks_exact(4)) {
             *dst = f32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]]);
         }
-    }
-
-    /// Builds the left plane from a recycled pool buffer.
-    pub fn left_into(&self, pool: &mut BufferPool) -> Image {
-        let mut data = pool.take_scratch(self.width * self.height);
-        Self::fill_plane(self.left_bytes, &mut data);
-        Image::from_vec(self.width, self.height, data)
-            .expect("pool buffer has exactly width * height pixels")
-    }
-
-    /// Builds the right plane from a recycled pool buffer.
-    pub fn right_into(&self, pool: &mut BufferPool) -> Image {
-        let mut data = pool.take_scratch(self.width * self.height);
-        Self::fill_plane(self.right_bytes, &mut data);
-        Image::from_vec(self.width, self.height, data)
-            .expect("pool buffer has exactly width * height pixels")
     }
 
     /// Deserializes both planes into caller-provided images, which must
@@ -279,6 +263,7 @@ impl FrameRef<'_> {
             if image.width() != self.width || image.height() != self.height {
                 return Err(AsvError::wire(
                     WireFault::Length,
+                    // lint: alloc-ok(error path, frame already rejected)
                     format!(
                         "provided {}x{} plane for a {}x{} frame",
                         image.width(),
@@ -292,19 +277,6 @@ impl FrameRef<'_> {
         }
         Ok(())
     }
-}
-
-/// One decoded stereo frame with owned planes (see [`decode_frame`]).
-#[derive(Debug)]
-pub struct WireFrame<'a> {
-    /// Session key routing this frame (borrowed from the input buffer).
-    pub key: &'a str,
-    /// Per-session sequence number.
-    pub seq: u64,
-    /// Left plane.
-    pub left: Image,
-    /// Right plane.
-    pub right: Image,
 }
 
 /// One structurally validated wire message.
@@ -438,47 +410,6 @@ pub fn validate_message(bytes: &[u8], max_message_bytes: usize) -> Result<Messag
         left_bytes,
         right_bytes,
     }))
-}
-
-/// [`validate_message`] narrowed to stereo frames: a structurally valid
-/// hello is refused with [`WireFault::BadMagic`].
-///
-/// # Errors
-///
-/// Same conditions as [`validate_message`].
-pub fn validate(bytes: &[u8], max_message_bytes: usize) -> Result<FrameRef<'_>, AsvError> {
-    match validate_message(bytes, max_message_bytes)? {
-        Message::Frame(frame) => Ok(frame),
-        Message::Hello { .. } => Err(AsvError::wire(
-            WireFault::BadMagic,
-            "hello message where a stereo frame was required".to_owned(),
-        )),
-    }
-}
-
-/// [`validate`] plus plane deserialization into recycled pool buffers.
-///
-/// A warm pool (one that has absorbed the planes of a previous same-sized
-/// frame) makes this completely allocation-free; the returned key borrows
-/// from `bytes`.
-///
-/// # Errors
-///
-/// Same conditions as [`validate`].
-pub fn decode_frame<'a>(
-    bytes: &'a [u8],
-    max_message_bytes: usize,
-    pool: &mut BufferPool,
-) -> Result<WireFrame<'a>, AsvError> {
-    let frame = validate(bytes, max_message_bytes)?;
-    let left = frame.left_into(pool);
-    let right = frame.right_into(pool);
-    Ok(WireFrame {
-        key: frame.key,
-        seq: frame.seq,
-        left,
-        right,
-    })
 }
 
 #[cfg(test)]

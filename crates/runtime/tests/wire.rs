@@ -1,8 +1,8 @@
 //! Wire-format fuzz and property tests.
 //!
 //! Locked properties of `asv_runtime::wire`:
-//! * `decode(encode(frame))` round-trips byte-identically — key, sequence
-//!   number and both planes;
+//! * `validate_message` + `fill_planes` of an encoded frame round-trips
+//!   byte-identically — key, sequence number and both planes;
 //! * every single-byte corruption of a valid message is rejected with a
 //!   structured [`AsvError::Wire`], never a panic;
 //! * truncation at *every* byte boundary is rejected;
@@ -14,8 +14,7 @@
 use asv::error::WireFault;
 use asv::AsvError;
 use asv_image::Image;
-use asv_mem::BufferPool;
-use asv_runtime::wire::{self, HEADER_BYTES, MAX_MESSAGE_BYTES};
+use asv_runtime::wire::{self, FrameRef, HEADER_BYTES, MAX_MESSAGE_BYTES};
 use proptest::prelude::*;
 
 /// A deterministic non-trivial test plane: every pixel distinct.
@@ -34,6 +33,20 @@ fn encoded(key: &str, seq: u64, width: usize, height: usize) -> Vec<u8> {
     out
 }
 
+/// The server's decode: validate the message, require a frame, and fill
+/// planes of the header's size.
+fn decode(bytes: &[u8]) -> Result<(FrameRef<'_>, Image, Image), AsvError> {
+    match wire::validate_message(bytes, MAX_MESSAGE_BYTES)? {
+        wire::Message::Frame(frame) => {
+            let mut left = Image::zeros(frame.width, frame.height);
+            let mut right = Image::zeros(frame.width, frame.height);
+            frame.fill_planes(&mut left, &mut right)?;
+            Ok((frame, left, right))
+        }
+        other => panic!("expected a frame, got {other:?}"),
+    }
+}
+
 fn wire_fault(error: AsvError) -> WireFault {
     match error {
         AsvError::Wire { fault, .. } => fault,
@@ -47,22 +60,19 @@ fn round_trip_preserves_every_field() {
     let right = plane(13, 7, 500.0);
     let mut bytes = Vec::new();
     wire::encode_frame_into(&mut bytes, "cam-3/front", 42, &left, &right).unwrap();
-    let mut pool = BufferPool::new();
-    let frame = wire::decode_frame(&bytes, MAX_MESSAGE_BYTES, &mut pool).unwrap();
+    let (frame, decoded_left, decoded_right) = decode(&bytes).unwrap();
     assert_eq!(frame.key, "cam-3/front");
     assert_eq!(frame.seq, 42);
-    assert_eq!(frame.left.as_slice(), left.as_slice());
-    assert_eq!(frame.right.as_slice(), right.as_slice());
+    assert_eq!(decoded_left.as_slice(), left.as_slice());
+    assert_eq!(decoded_right.as_slice(), right.as_slice());
 }
 
 #[test]
 fn truncation_at_every_boundary_is_rejected() {
     let bytes = encoded("cam", 5, 6, 4);
     for cut in 0..bytes.len() {
-        let fault = wire_fault(
-            wire::validate(&bytes[..cut], MAX_MESSAGE_BYTES)
-                .expect_err("a truncated message must never validate"),
-        );
+        let fault =
+            wire_fault(decode(&bytes[..cut]).expect_err("a truncated message must never validate"));
         assert!(
             matches!(fault, WireFault::Truncated),
             "cut at {cut} produced {fault:?}, expected Truncated"
@@ -76,7 +86,7 @@ fn every_single_byte_corruption_is_rejected() {
     for at in 0..bytes.len() {
         let mut mangled = bytes.clone();
         mangled[at] ^= 0x41;
-        let error = wire::validate(&mangled, MAX_MESSAGE_BYTES)
+        let error = decode(&mangled)
             .err()
             .unwrap_or_else(|| panic!("flipping byte {at} went undetected"));
         // Any structured wire fault is acceptable — which one depends on
@@ -91,7 +101,7 @@ fn oversized_length_prefix_is_rejected_before_reading_further() {
     let mut bytes = encoded("cam", 0, 4, 4);
     let huge = (MAX_MESSAGE_BYTES as u32) + 1;
     bytes[..4].copy_from_slice(&huge.to_le_bytes());
-    let fault = wire_fault(wire::validate(&bytes, MAX_MESSAGE_BYTES).unwrap_err());
+    let fault = wire_fault(wire::validate_message(&bytes, MAX_MESSAGE_BYTES).unwrap_err());
     assert!(matches!(fault, WireFault::Oversized), "got {fault:?}");
 }
 
@@ -101,7 +111,7 @@ fn version_mismatch_is_rejected() {
     bytes[8..10].copy_from_slice(&(wire::VERSION + 1).to_le_bytes());
     // Re-stamp the CRC so the version check (which runs first) is what fires.
     restamp_crc(&mut bytes);
-    let fault = wire_fault(wire::validate(&bytes, MAX_MESSAGE_BYTES).unwrap_err());
+    let fault = wire_fault(wire::validate_message(&bytes, MAX_MESSAGE_BYTES).unwrap_err());
     assert!(matches!(fault, WireFault::Version), "got {fault:?}");
 }
 
@@ -110,7 +120,7 @@ fn bad_magic_is_rejected() {
     let mut bytes = encoded("cam", 0, 4, 4);
     bytes[4..8].copy_from_slice(b"HTTP");
     restamp_crc(&mut bytes);
-    let fault = wire_fault(wire::validate(&bytes, MAX_MESSAGE_BYTES).unwrap_err());
+    let fault = wire_fault(wire::validate_message(&bytes, MAX_MESSAGE_BYTES).unwrap_err());
     assert!(matches!(fault, WireFault::BadMagic), "got {fault:?}");
 }
 
@@ -119,7 +129,7 @@ fn payload_corruption_is_caught_by_the_crc() {
     let mut bytes = encoded("cam", 0, 4, 4);
     let last = bytes.len() - 1;
     bytes[last] ^= 0x01;
-    let fault = wire_fault(wire::validate(&bytes, MAX_MESSAGE_BYTES).unwrap_err());
+    let fault = wire_fault(wire::validate_message(&bytes, MAX_MESSAGE_BYTES).unwrap_err());
     assert!(matches!(fault, WireFault::Crc), "got {fault:?}");
 }
 
@@ -131,9 +141,6 @@ fn hello_round_trips_and_is_not_a_frame() {
         wire::Message::Hello { key } => assert_eq!(key, "cam-1/front"),
         other => panic!("expected a hello, got {other:?}"),
     }
-    // The frame-only validator refuses a structurally valid hello.
-    let fault = wire_fault(wire::validate(&bytes, MAX_MESSAGE_BYTES).unwrap_err());
-    assert!(matches!(fault, WireFault::BadMagic), "got {fault:?}");
     // And hello corruption is caught like frame corruption.
     let last = bytes.len() - 1;
     bytes[last] ^= 0x01;
@@ -172,7 +179,7 @@ fn oversized_session_key_is_rejected_at_both_ends() {
     msg.extend_from_slice(&[0, 0, 0, 0]);
     msg.resize(4 + declared, b'k');
     restamp_crc(&mut msg);
-    let fault = wire_fault(wire::validate(&msg, MAX_MESSAGE_BYTES).unwrap_err());
+    let fault = wire_fault(wire::validate_message(&msg, MAX_MESSAGE_BYTES).unwrap_err());
     assert!(matches!(fault, WireFault::Key), "got {fault:?}");
 }
 
@@ -182,7 +189,7 @@ fn non_utf8_key_is_rejected() {
     bytes[HEADER_BYTES] = 0xFF;
     bytes[HEADER_BYTES + 1] = 0xFE;
     restamp_crc(&mut bytes);
-    let fault = wire_fault(wire::validate(&bytes, MAX_MESSAGE_BYTES).unwrap_err());
+    let fault = wire_fault(wire::validate_message(&bytes, MAX_MESSAGE_BYTES).unwrap_err());
     assert!(matches!(fault, WireFault::Key), "got {fault:?}");
 }
 
@@ -243,12 +250,11 @@ proptest! {
         let mut bytes = Vec::new();
         wire::encode_frame_into(&mut bytes, &key, seq, &left, &right).unwrap();
         prop_assert_eq!(bytes.len(), wire::encoded_len(&key, width, height));
-        let mut pool = BufferPool::new();
-        let frame = wire::decode_frame(&bytes, MAX_MESSAGE_BYTES, &mut pool).unwrap();
+        let (frame, decoded_left, decoded_right) = decode(&bytes).unwrap();
         prop_assert_eq!(frame.key, key.as_str());
         prop_assert_eq!(frame.seq, seq);
-        prop_assert_eq!(frame.left.as_slice(), left.as_slice());
-        prop_assert_eq!(frame.right.as_slice(), right.as_slice());
+        prop_assert_eq!(decoded_left.as_slice(), left.as_slice());
+        prop_assert_eq!(decoded_right.as_slice(), right.as_slice());
     }
 
     /// Random byte-flips of a valid message never decode successfully and
@@ -263,7 +269,6 @@ proptest! {
         let at = ((bytes.len() as f64 - 1.0) * at_fraction) as usize;
         let mut mangled = bytes;
         mangled[at] ^= u8::try_from(mask).expect("mask < 256");
-        let mut pool = BufferPool::new();
-        prop_assert!(wire::decode_frame(&mangled, MAX_MESSAGE_BYTES, &mut pool).is_err());
+        prop_assert!(decode(&mangled).is_err());
     }
 }

@@ -1,7 +1,8 @@
 //! Zero-allocation proofs of the wire format's steady state: once warm,
-//! encoding, validating and decoding a frame performs **zero** heap
-//! allocations (the networked transport's hot path), proven with the
-//! counting allocator installed globally.
+//! encoding a frame, validating it with `validate_message` and filling its
+//! planes with `fill_planes` performs **zero** heap allocations (the
+//! server's receive path), proven with the counting allocator installed
+//! globally.
 //!
 //! The allocation counter is process-wide, so this is a `harness = false`
 //! target: [`alloc_count::run_proofs`] runs the proofs one after another
@@ -13,7 +14,7 @@ use asv::AsvError;
 use asv_image::Image;
 use asv_mem::alloc_count::{self, CountingAllocator};
 use asv_mem::BufferPool;
-use asv_runtime::wire::{self, MAX_MESSAGE_BYTES};
+use asv_runtime::wire::{self, FrameRef, MAX_MESSAGE_BYTES};
 use std::process::ExitCode;
 
 #[global_allocator]
@@ -47,9 +48,24 @@ fn wire_fault(error: AsvError) -> WireFault {
     }
 }
 
-/// The tentpole acceptance criterion: once the reusable encode buffer and
-/// the plane pool have been warmed by one frame, the whole
-/// encode → validate → decode cycle runs with zero heap allocations.
+/// Validates `bytes` as a stereo frame (the server's decode entry point).
+fn validated(bytes: &[u8]) -> FrameRef<'_> {
+    match wire::validate_message(bytes, MAX_MESSAGE_BYTES).unwrap() {
+        wire::Message::Frame(frame) => frame,
+        other => panic!("expected a frame, got {other:?}"),
+    }
+}
+
+/// Checks a `width x height` plane out of the pool, the way a session's
+/// frame pool recycles planes for the server's sink.
+fn take(pool: &mut BufferPool, width: usize, height: usize) -> Image {
+    Image::from_vec(width, height, pool.take_scratch(width * height)).unwrap()
+}
+
+/// The server's decode path at steady state: once the reusable encode
+/// buffer and the plane pool have been warmed by one frame, the whole
+/// encode → `validate_message` → `fill_planes` cycle runs with zero heap
+/// allocations.
 fn warm_pool_decode_performs_zero_allocations() {
     let width = 32;
     let height = 24;
@@ -61,27 +77,36 @@ fn warm_pool_decode_performs_zero_allocations() {
     // Warm-up: grows the encode buffer and seeds the pool with two
     // plane-sized buffers.
     wire::encode_frame_into(&mut bytes, "warm", 0, &left, &right).unwrap();
-    let warm = wire::decode_frame(&bytes, MAX_MESSAGE_BYTES, &mut pool).unwrap();
-    pool.put(warm.left.into_vec());
-    pool.put(warm.right.into_vec());
+    let (mut dst_left, mut dst_right) = (
+        take(&mut pool, width, height),
+        take(&mut pool, width, height),
+    );
+    validated(&bytes)
+        .fill_planes(&mut dst_left, &mut dst_right)
+        .unwrap();
+    pool.put(dst_left.into_vec());
+    pool.put(dst_right.into_vec());
 
     let before = alloc_count::allocations();
     for seq in 1..=16u64 {
         wire::encode_frame_into(&mut bytes, "warm", seq, &left, &right).unwrap();
-        let frame = wire::decode_frame(&bytes, MAX_MESSAGE_BYTES, &mut pool).unwrap();
+        let frame = validated(&bytes);
         assert_eq!(frame.seq, seq);
-        pool.put(frame.left.into_vec());
-        pool.put(frame.right.into_vec());
+        let mut dst_left = take(&mut pool, frame.width, frame.height);
+        let mut dst_right = take(&mut pool, frame.width, frame.height);
+        frame.fill_planes(&mut dst_left, &mut dst_right).unwrap();
+        pool.put(dst_left.into_vec());
+        pool.put(dst_right.into_vec());
     }
     let allocs = alloc_count::allocations() - before;
     assert_eq!(
         allocs, 0,
-        "steady-state encode/decode allocated {allocs} times over 16 frames"
+        "steady-state encode/validate/fill allocated {allocs} times over 16 frames"
     );
 }
 
-/// The `fill_planes` server path (decoding into recycled shard images) is
-/// likewise allocation-free, and refuses mis-sized targets.
+/// `fill_planes` into caller-held images is likewise allocation-free, and
+/// refuses mis-sized targets.
 fn fill_planes_reuses_caller_images_without_allocating() {
     let left = plane(16, 12, 0.0);
     let right = plane(16, 12, 99.0);
@@ -91,7 +116,7 @@ fn fill_planes_reuses_caller_images_without_allocating() {
     let mut dst_left = Image::zeros(16, 12);
     let mut dst_right = Image::zeros(16, 12);
     let before = alloc_count::allocations();
-    let frame = wire::validate(&bytes, MAX_MESSAGE_BYTES).unwrap();
+    let frame = validated(&bytes);
     frame.fill_planes(&mut dst_left, &mut dst_right).unwrap();
     let allocs = alloc_count::allocations() - before;
     assert_eq!(allocs, 0, "fill_planes allocated {allocs} times");
